@@ -15,7 +15,7 @@
 //! function of the input alone: fixed-seed pipeline runs are bit-identical
 //! by construction, not by the accident of a hash seed.
 
-use pmevo_core::{InstId, MeasuredExperiment};
+use pmevo_core::{Experiment, InstId, MeasuredExperiment, ThreeLevelMapping};
 use std::collections::BTreeMap;
 
 /// Checks throughput equality up to the paper's symmetric relative
@@ -235,6 +235,99 @@ impl CongruencePartition {
             map.entry(self.repr[&id]).or_default().push(id);
         }
         map
+    }
+}
+
+/// The dense universe evolution runs on: one id per congruence class.
+///
+/// Representative `k` of a [`CongruencePartition`] (first-seen order)
+/// becomes dense id `k`. Training experiments entirely over
+/// representatives are remapped to dense ids; experiments touching a
+/// merged-away form train nothing, since its representative carries the
+/// class. A dense mapping expands back to the full universe by giving
+/// every form its representative's decomposition.
+#[derive(Debug, Clone)]
+pub struct RepUniverse {
+    partition: CongruencePartition,
+    /// Dense id of every representative.
+    index: BTreeMap<InstId, u32>,
+    /// Singleton throughput per dense id.
+    indiv_tp: Vec<f64>,
+}
+
+impl RepUniverse {
+    /// The dense universe of `partition`; `indiv_tp[id.index()]` is the
+    /// measured singleton throughput of form `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `indiv_tp` misses a representative.
+    pub fn new(partition: CongruencePartition, indiv_tp: &[f64]) -> Self {
+        let reps = partition.representatives();
+        let index = reps
+            .iter()
+            .enumerate()
+            .map(|(k, &id)| (id, k as u32))
+            .collect();
+        let indiv_tp = reps.iter().map(|&id| indiv_tp[id.index()]).collect();
+        RepUniverse {
+            partition,
+            index,
+            indiv_tp,
+        }
+    }
+
+    /// The partition this universe was built from.
+    pub fn partition(&self) -> &CongruencePartition {
+        &self.partition
+    }
+
+    /// The representatives in dense-id order (original ids).
+    pub fn reps(&self) -> &[InstId] {
+        self.partition.representatives()
+    }
+
+    /// Singleton throughput per dense id.
+    pub fn indiv_tp(&self) -> &[f64] {
+        &self.indiv_tp
+    }
+
+    /// Whether every form of `e` is a representative.
+    pub fn covers(&self, e: &Experiment) -> bool {
+        e.iter().all(|(i, _)| self.index.contains_key(&i))
+    }
+
+    /// `e` over dense ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is not [covered](Self::covers).
+    pub fn to_dense(&self, e: &Experiment) -> Experiment {
+        e.map_insts(|i| InstId(self.index[&i]))
+    }
+
+    /// The covered experiments of `measured`, remapped to dense ids.
+    pub fn dense_corpus(&self, measured: &[MeasuredExperiment]) -> Vec<MeasuredExperiment> {
+        measured
+            .iter()
+            .filter(|me| self.covers(&me.experiment))
+            .map(|me| MeasuredExperiment::new(self.to_dense(&me.experiment), me.throughput))
+            .collect()
+    }
+
+    /// Expands a dense mapping to the full universe: every form carries
+    /// its representative's decomposition.
+    pub fn expand(&self, dense: &ThreeLevelMapping) -> ThreeLevelMapping {
+        let decomp = self
+            .partition
+            .universe()
+            .iter()
+            .map(|&id| {
+                let rep = self.partition.representative(id);
+                dense.decomposition(InstId(self.index[&rep])).to_vec()
+            })
+            .collect();
+        ThreeLevelMapping::new(dense.num_ports(), decomp)
     }
 }
 

@@ -14,7 +14,7 @@
 //! ```
 
 use crate::fitness::{FitnessEngine, Objectives};
-use pmevo_core::{InstId, MeasuredExperiment, ThreeLevelMapping, UopEntry};
+use pmevo_core::{InstId, ThreeLevelMapping, UopEntry};
 use rand::Rng;
 
 /// Tunable parameters of the evolutionary algorithm.
@@ -59,7 +59,7 @@ impl Default for EvoConfig {
     }
 }
 
-/// Result of an [`evolve`] run.
+/// Result of an evolution run ([`crate::evolve_islands`]).
 #[derive(Debug, Clone)]
 pub struct EvoResult {
     /// The fittest mapping after evolution and local search.
@@ -208,86 +208,6 @@ pub(crate) fn hill_climb(
     current
 }
 
-/// Runs the evolutionary algorithm over `num_insts` (representative)
-/// instructions on a machine with `num_ports` ports.
-///
-/// `experiments` are the measured training experiments (over the same
-/// instruction universe `0..num_insts`), `indiv_tp[i]` the measured
-/// individual throughput of instruction `i` (used to bound the random
-/// initialization as in paper §4.4).
-///
-/// # Panics
-///
-/// Panics if inputs are empty or inconsistent.
-pub fn evolve(
-    num_insts: usize,
-    num_ports: usize,
-    experiments: &[MeasuredExperiment],
-    indiv_tp: &[f64],
-    config: &EvoConfig,
-) -> EvoResult {
-    evolve_resumable(num_insts, num_ports, experiments, indiv_tp, config, Vec::new(), true).result
-}
-
-/// Outcome of one [`evolve_resumable`] segment: the usual [`EvoResult`]
-/// plus the final population, for warm-starting the next segment of a
-/// round-based run (see [`crate::selection`]).
-#[derive(Debug, Clone)]
-pub struct ResumableEvolution {
-    /// The segment's result (fittest individual, history, generations).
-    pub result: EvoResult,
-    /// The final population, ordered by scalarized fitness of the last
-    /// selection (initial order if no generation ran).
-    pub population: Vec<ThreeLevelMapping>,
-    /// Objectives parallel to [`population`](Self::population).
-    pub objectives: Vec<Objectives>,
-}
-
-/// [`evolve`], but resumable: evolution starts from `initial` (topped up
-/// with random samples to the configured population size), the final
-/// greedy local search can be skipped for intermediate rounds, and the
-/// final population is returned so a later segment — typically over a
-/// grown experiment set — can continue where this one stopped.
-///
-/// With an empty `initial` and `local_search = true` this is exactly
-/// [`evolve`], bit for bit. Since the island-model refactor this is a
-/// thin wrapper over [`crate::islands::evolve_islands`] with a single
-/// island, which reproduces the classic loop bit for bit.
-///
-/// # Panics
-///
-/// Panics if inputs are empty or inconsistent, an `initial` individual
-/// does not match `num_insts`/`num_ports`, or `initial` holds more
-/// individuals than `config.population_size` (an oversized warm start
-/// would silently discard search state — pass at most `p` individuals).
-pub fn evolve_resumable(
-    num_insts: usize,
-    num_ports: usize,
-    experiments: &[MeasuredExperiment],
-    indiv_tp: &[f64],
-    config: &EvoConfig,
-    initial: Vec<ThreeLevelMapping>,
-    local_search: bool,
-) -> ResumableEvolution {
-    let out = crate::islands::evolve_islands(
-        num_insts,
-        num_ports,
-        experiments,
-        indiv_tp,
-        config,
-        &crate::islands::IslandConfig::default(),
-        crate::islands::IslandStart::Fresh(vec![initial]),
-        local_search,
-        None,
-    );
-    let island = out.islands.into_iter().next().expect("one island");
-    ResumableEvolution {
-        result: out.result,
-        population: island.population,
-        objectives: island.objectives,
-    }
-}
-
 /// Re-exported for the recombination unit tests and the ablation bench.
 #[doc(hidden)]
 pub fn recombine_for_test<R: Rng + ?Sized>(
@@ -301,7 +221,8 @@ pub fn recombine_for_test<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmevo_core::{Experiment, PortSet};
+    use crate::islands::{evolve_islands, IslandConfig, IslandStart, IslandsEvolution};
+    use pmevo_core::{Experiment, MeasuredExperiment, PortSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -345,6 +266,27 @@ mod tests {
         (gt, measured, indiv)
     }
 
+    /// One island over the 3-form toy, started from `initial`.
+    fn evolve(
+        measured: &[MeasuredExperiment],
+        indiv: &[f64],
+        config: &EvoConfig,
+        initial: Vec<ThreeLevelMapping>,
+        local_search: bool,
+    ) -> IslandsEvolution {
+        evolve_islands(
+            3,
+            3,
+            measured,
+            indiv,
+            config,
+            &IslandConfig::default(),
+            IslandStart::Fresh(vec![initial]),
+            local_search,
+            None,
+        )
+    }
+
     #[test]
     fn recombination_preserves_item_count_and_validity() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -370,7 +312,7 @@ mod tests {
             seed: 7,
             ..EvoConfig::default()
         };
-        let result = evolve(3, 3, &measured, &indiv, &config);
+        let result = evolve(&measured, &indiv, &config, Vec::new(), true).result;
         assert!(
             result.objectives.error < 0.05,
             "evolved error {} too high",
@@ -390,7 +332,7 @@ mod tests {
             seed: 3,
             ..EvoConfig::default()
         };
-        let result = evolve(3, 3, &measured, &indiv, &config);
+        let result = evolve(&measured, &indiv, &config, Vec::new(), true).result;
         for w in result.history.windows(2) {
             assert!(w[1] <= w[0] + 1e-12, "best error increased: {w:?}");
         }
@@ -428,25 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn resumable_with_defaults_is_exactly_evolve() {
-        let (_gt, measured, indiv) = toy_problem();
-        let config = EvoConfig {
-            population_size: 24,
-            max_generations: 10,
-            num_threads: 2,
-            seed: 21,
-            ..EvoConfig::default()
-        };
-        let plain = evolve(3, 3, &measured, &indiv, &config);
-        let resumable = evolve_resumable(3, 3, &measured, &indiv, &config, Vec::new(), true);
-        assert_eq!(plain.mapping, resumable.result.mapping);
-        assert_eq!(plain.objectives, resumable.result.objectives);
-        assert_eq!(plain.history, resumable.result.history);
-        assert_eq!(resumable.population.len(), 24);
-        assert_eq!(resumable.objectives.len(), 24);
-    }
-
-    #[test]
     fn warm_start_resumes_and_stays_deterministic() {
         let (_gt, measured, indiv) = toy_problem();
         let config = EvoConfig {
@@ -456,38 +379,18 @@ mod tests {
             seed: 13,
             ..EvoConfig::default()
         };
-        let first = evolve_resumable(3, 3, &measured, &indiv, &config, Vec::new(), false);
-        let resume = |pop: Vec<ThreeLevelMapping>| {
-            evolve_resumable(3, 3, &measured, &indiv, &config, pop, false)
-        };
-        let a = resume(first.population.clone());
-        let b = resume(first.population.clone());
+        let first = evolve(&measured, &indiv, &config, Vec::new(), false);
+        let resume = |pop: Vec<ThreeLevelMapping>| evolve(&measured, &indiv, &config, pop, false);
+        let population = &first.islands[0].population;
+        let a = resume(population.clone());
+        let b = resume(population.clone());
         assert_eq!(a.result.mapping, b.result.mapping);
-        assert_eq!(a.population, b.population);
+        assert_eq!(a.islands[0].population, b.islands[0].population);
         // Continuing the search never loses the warm start's best error.
         assert!(a.result.objectives.error <= first.result.objectives.error + 1e-12);
         // A short initial population is topped up to size.
-        let short = resume(first.population[..3].to_vec());
-        assert_eq!(short.population.len(), 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "initial population larger than the configured population size")]
-    fn warm_start_rejects_an_oversized_population() {
-        let (_gt, measured, indiv) = toy_problem();
-        let config = EvoConfig {
-            population_size: 4,
-            max_generations: 1,
-            num_threads: 1,
-            seed: 2,
-            ..EvoConfig::default()
-        };
-        // 5 warm individuals into a population of 4: the old top-up path
-        // silently truncated these; now it must refuse.
-        let first = evolve_resumable(3, 3, &measured, &indiv, &config, Vec::new(), false);
-        let mut oversized = first.population.clone();
-        oversized.push(first.population[0].clone());
-        evolve_resumable(3, 3, &measured, &indiv, &config, oversized, false);
+        let short = resume(population[..3].to_vec());
+        assert_eq!(short.islands[0].population.len(), 20);
     }
 
     #[test]
@@ -502,7 +405,7 @@ mod tests {
             ..EvoConfig::default()
         };
         let wrong = vec![ThreeLevelMapping::new(3, vec![vec![uop(1, &[0])]])];
-        evolve_resumable(3, 3, &measured, &indiv, &config, wrong, false);
+        evolve(&measured, &indiv, &config, wrong, false);
     }
 
     #[test]
@@ -515,8 +418,8 @@ mod tests {
             seed: 11,
             ..EvoConfig::default()
         };
-        let a = evolve(3, 3, &measured, &indiv, &config);
-        let b = evolve(3, 3, &measured, &indiv, &config);
+        let a = evolve(&measured, &indiv, &config, Vec::new(), true).result;
+        let b = evolve(&measured, &indiv, &config, Vec::new(), true).result;
         assert_eq!(a.mapping, b.mapping);
         assert_eq!(a.history, b.history);
     }

@@ -3,13 +3,14 @@
 //!
 //! The paper's GA is embarrassingly island-parallel: subpopulations
 //! evolve independently and only exchange their best individuals every
-//! few generations. This module generalizes [`crate::evolve_resumable`]
-//! into that shape while keeping the workspace's bit-identity contract:
+//! few generations. This module runs the paper's loop (§4.4,
+//! Algorithm 1) in that shape while keeping the workspace's bit-identity
+//! contract:
 //!
 //! * **RNG splitting** — island `i` draws from its own `StdRng` stream
 //!   seeded with [`island_seed`]`(config.seed, i)`. Island 0's seed *is*
-//!   the session seed, so a 1-island run consumes exactly the stream of
-//!   the classic single-population loop and reproduces it bit for bit.
+//!   the session seed, so a 1-island run is the paper's
+//!   single-population loop on the session seed's stream.
 //! * **Lockstep generations, one shared pool** — each generation, every
 //!   island's children are concatenated into a single
 //!   [`FitnessEngine::evaluate_batch_owned`] call. The engine's batch
@@ -231,10 +232,13 @@ fn migrate(islands: &mut [Island], migrants: usize) {
 
 /// Runs the island-model evolutionary algorithm.
 ///
-/// With `islands.count == 1` and a fresh start this is exactly the
-/// classic [`crate::evolve_resumable`] loop, bit for bit; more islands
-/// trade per-island population size for diversity and migrate on the
-/// ring described in the [module documentation](self).
+/// With `islands.count == 1` this is the paper's single-population
+/// loop; more islands trade per-island population size for diversity
+/// and migrate on the ring described in the
+/// [module documentation](self). A fresh start tops each seed
+/// population up with random samples, and `local_search = false` skips
+/// the final hill climbing (for intermediate rounds of a round-based
+/// run).
 ///
 /// `observer`, when given, runs after every generation (post-migration)
 /// and may halt the run — the checkpoint writer uses this to both
@@ -463,7 +467,6 @@ pub fn evolve_islands(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evolution::evolve_resumable;
     use pmevo_core::{Experiment, InstId, PortSet, UopEntry};
 
     fn uop(count: u32, ports: &[usize]) -> UopEntry {
@@ -518,28 +521,6 @@ mod tests {
         assert_eq!(island_seed(0x90AD, 0), 0x90AD);
         assert_ne!(island_seed(0x90AD, 1), 0x90AD);
         assert_ne!(island_seed(0x90AD, 1), island_seed(0x90AD, 2));
-    }
-
-    #[test]
-    fn one_island_is_bitwise_the_classic_loop() {
-        let (measured, indiv) = toy_problem();
-        let cfg = config(21, 2);
-        let classic = evolve_resumable(3, 3, &measured, &indiv, &cfg, Vec::new(), true);
-        let island = evolve_islands(
-            3,
-            3,
-            &measured,
-            &indiv,
-            &cfg,
-            &IslandConfig::default(),
-            IslandStart::Fresh(Vec::new()),
-            true,
-            None,
-        );
-        assert_eq!(classic.result.mapping, island.result.mapping);
-        assert_eq!(classic.result.history, island.result.history);
-        assert_eq!(classic.population, island.islands[0].population);
-        assert!(!island.halted);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! ```text
 //! ISA ──► ExperimentGenerator ──► (measurement, external) ──►
-//!     CongruencePartition ──► evolve() + hill climbing ──► mapping
+//!     CongruencePartition ──► RepUniverse ──►
+//!     evolve_islands() + hill climbing ──► mapping
 //! ```
 //!
 //! [`pipeline::run`] wires all stages against a
@@ -33,8 +34,8 @@ pub mod selection;
 pub mod validate;
 
 pub use algorithm::PmEvoAlgorithm;
-pub use congruence::{throughput_close, CongruencePartition};
-pub use evolution::{evolve, evolve_resumable, EvoConfig, EvoResult, ResumableEvolution};
+pub use congruence::{throughput_close, CongruencePartition, RepUniverse};
+pub use evolution::{EvoConfig, EvoResult};
 pub use expgen::{CandidateStream, ExperimentGenerator};
 pub use fitness::{average_relative_error, scalarize, ErrorCache, FitnessEngine, Objectives};
 pub use islands::{
@@ -43,7 +44,7 @@ pub use islands::{
 };
 pub use pipeline::{run, CheckpointConfig, PipelineConfig, PipelineResult};
 pub use selection::{
-    run_adaptive, run_adaptive_with, AdaptiveContext, AdaptiveOutcome, AdaptiveResume,
-    AdaptiveTuning, CheckpointEvent, CheckpointHook,
+    run_adaptive, AdaptiveContext, AdaptiveOutcome, AdaptiveResume, AdaptiveTuning,
+    CheckpointEvent, CheckpointHook,
 };
 pub use validate::{validate, ValidationReport};

@@ -12,19 +12,27 @@
 //! counts come from the backend's [`BackendStats`] delta, so a
 //! [`pmevo_core::CachingBackend`] that answers from its cache is not
 //! billed again.
+//!
+//! Fresh and resumed runs share one flow: a start step either measures
+//! the seed corpus or unpacks a [`SessionCheckpoint`]; the congruence
+//! partition becomes the dense [`RepUniverse`] evolution runs on; the
+//! one-shot or the round-based flow evolves; one finish step expands the
+//! result back to the full universe.
 
-use crate::congruence::{throughput_close, CongruencePartition};
+use crate::congruence::{throughput_close, CongruencePartition, RepUniverse};
 use crate::evolution::{EvoConfig, EvoResult};
 use crate::expgen::ExperimentGenerator;
-use crate::islands::{evolve_islands, EvoState, IslandConfig, IslandControl, IslandObserver, IslandStart};
+use crate::islands::{
+    evolve_islands, EvoState, IslandConfig, IslandControl, IslandObserver, IslandStart,
+};
 use crate::selection::{
-    run_adaptive_with, AdaptiveContext, AdaptiveResume, AdaptiveTuning, CheckpointEvent,
-    CheckpointHook,
+    run_adaptive, AdaptiveContext, AdaptiveOutcome, AdaptiveResume, AdaptiveTuning,
+    CheckpointEvent, CheckpointHook,
 };
 use pmevo_core::checkpoint::{CheckpointPhase, SessionCheckpoint};
 use pmevo_core::{
-    BackendStats, Experiment, InstId, MeasuredExperiment, MeasurementBackend,
-    MeasurementBudget, RoundStats, SelectionPolicy, ThreeLevelMapping,
+    BackendStats, Experiment, InstId, MeasuredExperiment, MeasurementBackend, MeasurementBudget,
+    RoundStats, SelectionPolicy, ThreeLevelMapping,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -39,12 +47,6 @@ pub struct PipelineConfig {
     /// Set to `false` to skip congruence filtering (ablation); every
     /// instruction becomes its own class.
     pub congruence_filtering: bool,
-    /// Number of additional random three-form experiments to measure
-    /// and train on. The paper explored longer experiments and found no
-    /// quality benefit (§4.1); 0 (the default) reproduces the paper's
-    /// final design, non-zero values repeat the exploration. Only used
-    /// by the one-shot path.
-    pub extra_triples: usize,
     /// How experiments are chosen: the paper's up-front corpus
     /// ([`SelectionPolicy::OneShot`], the default) or a round-based
     /// adaptive loop (see [`crate::selection`]).
@@ -69,7 +71,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             epsilon: 0.05,
             congruence_filtering: true,
-            extra_triples: 0,
             selection: SelectionPolicy::OneShot,
             budget: MeasurementBudget::UNLIMITED,
             adaptive: AdaptiveTuning::default(),
@@ -126,7 +127,40 @@ struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    fn new(cfg: &CheckpointConfig, template: SessionCheckpoint) -> Self {
+    /// Every artifact carries the run's static header: the configuration
+    /// plus the full-universe singleton throughputs and congruence
+    /// classes (`rep_of[i]` = representative of instruction `i`), from
+    /// which a resume reconstructs the partition without re-measuring.
+    fn new(
+        cfg: &CheckpointConfig,
+        config: &PipelineConfig,
+        num_ports: usize,
+        indiv_tp: &[f64],
+        partition: &CongruencePartition,
+    ) -> Self {
+        let universe = partition.universe();
+        let template = SessionCheckpoint {
+            seed: config.evo.seed,
+            num_insts: universe.len(),
+            num_ports,
+            islands: config.islands.count,
+            population_size: config.evo.population_size as u64,
+            selection: config.selection,
+            budget: config.budget,
+            used: BackendStats::default(),
+            indiv_tp: indiv_tp.to_vec(),
+            rep_of: universe
+                .iter()
+                .map(|&i| partition.representative(i).0)
+                .collect(),
+            measured: Vec::new(),
+            rounds: Vec::new(),
+            round_mappings: Vec::new(),
+            pool: Vec::new(),
+            stream_taken: 0,
+            phase: CheckpointPhase::OneShot,
+            evo: None,
+        };
         CheckpointWriter {
             path: cfg.path.clone(),
             every: cfg.every.max(1),
@@ -170,40 +204,6 @@ impl CheckpointHook for CheckpointWriter {
     }
 }
 
-/// The header template of every checkpoint this run writes: the static
-/// configuration plus the full-universe singleton throughputs and
-/// congruence classes (`rep_of[i]` = representative of instruction `i`),
-/// from which a resume reconstructs the partition without re-measuring.
-fn checkpoint_template(
-    num_insts: usize,
-    num_ports: usize,
-    config: &PipelineConfig,
-    indiv_tp: &[f64],
-    partition: &CongruencePartition,
-) -> SessionCheckpoint {
-    SessionCheckpoint {
-        seed: config.evo.seed,
-        num_insts,
-        num_ports,
-        islands: config.islands.count,
-        population_size: config.evo.population_size as u64,
-        selection: config.selection,
-        budget: config.budget,
-        used: BackendStats::default(),
-        indiv_tp: indiv_tp.to_vec(),
-        rep_of: (0..num_insts as u32)
-            .map(|i| partition.representative(InstId(i)).0)
-            .collect(),
-        measured: Vec::new(),
-        rounds: Vec::new(),
-        round_mappings: Vec::new(),
-        pool: Vec::new(),
-        stream_taken: 0,
-        phase: CheckpointPhase::OneShot,
-        evo: None,
-    }
-}
-
 /// Result of a pipeline run, including the Table 2 bookkeeping.
 #[derive(Debug, Clone)]
 pub struct PipelineResult {
@@ -215,7 +215,8 @@ pub struct PipelineResult {
     /// [`BackendStats`]; cache hits of a
     /// [`pmevo_core::CachingBackend`] cost nothing here).
     pub benchmarking_time: Duration,
-    /// Time spent in congruence filtering + evolution + local search.
+    /// Wall time of this call not spent measuring: congruence
+    /// filtering, evolution and local search.
     pub inference_time: Duration,
     /// Real measurements the backend performed for this run (deduped
     /// experiments are counted once).
@@ -246,26 +247,6 @@ impl PipelineResult {
     }
 }
 
-/// Expands a mapping over the representative universe back to the full
-/// universe: every instruction carries its class representative's
-/// decomposition.
-fn expand_mapping(
-    universe: &[InstId],
-    partition: &CongruencePartition,
-    rep_index: &BTreeMap<InstId, u32>,
-    dense: &ThreeLevelMapping,
-    num_ports: usize,
-) -> ThreeLevelMapping {
-    let full_decomp = universe
-        .iter()
-        .map(|&id| {
-            let rep = partition.representative(id);
-            dense.decomposition(InstId(rep_index[&rep])).to_vec()
-        })
-        .collect();
-    ThreeLevelMapping::new(num_ports, full_decomp)
-}
-
 /// Runs the full PMEvo pipeline on an instruction universe of
 /// `num_insts` forms (ids `0..num_insts`) over a machine with
 /// `num_ports` ports, measuring through `backend`.
@@ -283,10 +264,19 @@ fn expand_mapping(
 /// (inference is undefined without it), so a budget smaller than the
 /// universe is exceeded by the seed corpus and no rounds are run.
 ///
+/// With [`CheckpointConfig::resume_from`] set, nothing is re-measured:
+/// the corpus, singleton throughputs and congruence classes all come
+/// from the artifact, budget accounting continues from its
+/// [`SessionCheckpoint::used`], and the result is bit-identical to the
+/// uninterrupted run's (up to wall-clock timings).
+///
 /// # Panics
 ///
 /// Panics if `num_insts == 0`, the backend returns the wrong number of
-/// results, or measurements are not positive and finite.
+/// results, measurements are not positive and finite, or a resumed
+/// checkpoint's header disagrees with the configuration (universe size,
+/// port count, seed, islands, population size, selection policy,
+/// budget).
 pub fn run(
     num_insts: usize,
     num_ports: usize,
@@ -294,155 +284,193 @@ pub fn run(
     config: &PipelineConfig,
 ) -> PipelineResult {
     assert!(num_insts > 0, "empty instruction universe");
-    if let Some(snapshot) = config
-        .checkpoint
-        .as_ref()
-        .and_then(|c| c.resume_from.as_deref())
-    {
-        return resume_run(num_insts, num_ports, backend, config, snapshot);
-    }
     let universe: Vec<InstId> = (0..num_insts as u32).map(InstId).collect();
-    let generator = ExperimentGenerator::new(universe.clone());
     let run_start: BackendStats = backend.stats();
     let wall_start = Instant::now();
 
-    // Stage 1: the singleton sweep — the seed corpus of every policy.
-    // Cost is accounted by the backend itself, so deduplicated
-    // measurements are not double-counted.
-    let singletons = generator.singletons();
-    let indiv_tp = backend.measure_batch_checked(&singletons);
-    let mut measured: Vec<MeasuredExperiment> = singletons
-        .iter()
-        .cloned()
-        .zip(indiv_tp.iter().copied())
-        .map(|(e, t)| MeasuredExperiment::new(e, t))
-        .collect();
-
-    if config.selection.is_adaptive() {
-        return run_adaptive_pipeline(
-            num_ports, &universe, measured, &indiv_tp, backend, config, run_start, wall_start,
-        );
-    }
-
-    // --- One-shot path (paper Figure 5). ---
-    // Stage 2: measure the full pair corpus.
-    let mut extra = generator.pairs(&indiv_tp);
-    if config.extra_triples > 0 {
-        extra.extend(generator.triples(config.extra_triples, config.evo.seed ^ 0x7319));
-    }
-    let extra_tp = backend.measure_batch_checked(&extra);
-    let bench_stats = backend.stats().since(&run_start);
-    for (e, t) in extra.into_iter().zip(extra_tp) {
-        measured.push(MeasuredExperiment::new(e, t));
-    }
-    let num_experiments = measured.len();
-
-    // Stage 3: congruence filtering.
-    let infer_start = Instant::now();
-    let partition = if config.congruence_filtering {
-        CongruencePartition::compute(&universe, &measured, config.epsilon)
-    } else {
-        CongruencePartition::identity(&universe)
+    let resume_from = config
+        .checkpoint
+        .as_ref()
+        .and_then(|c| c.resume_from.as_deref());
+    let start = match resume_from {
+        Some(snapshot) => Start::unpack(snapshot, &universe, num_ports, config),
+        None => Start::measure(&universe, backend, config, &run_start),
     };
-    let reps = partition.representatives().to_vec();
-    let rep_index: BTreeMap<InstId, u32> = reps
-        .iter()
-        .enumerate()
-        .map(|(k, &id)| (id, k as u32))
-        .collect();
+    let reps = RepUniverse::new(start.partition, &start.indiv_tp);
 
-    // Keep only experiments entirely over representatives; remap ids to
-    // the compact representative universe 0..k.
-    let rep_measured: Vec<MeasuredExperiment> = measured
-        .iter()
-        .filter(|me| me.experiment.iter().all(|(i, _)| rep_index.contains_key(&i)))
-        .map(|me| {
-            let exp = me.experiment.map_insts(|i| InstId(rep_index[&i]));
-            MeasuredExperiment::new(exp, me.throughput)
-        })
-        .collect();
-    let rep_indiv: Vec<f64> = reps
-        .iter()
-        .map(|&id| {
-            measured
-                .iter()
-                .find(|me| me.experiment.counts() == [(id, 1)])
-                .expect("singleton measured for every representative")
-                .throughput
-        })
-        .collect();
-
-    // Stage 4: evolutionary optimization on the representative universe
-    // (one island is the paper's classic loop, bit for bit).
     let mut writer = config.checkpoint.as_ref().map(|cfg| {
-        CheckpointWriter::new(
-            cfg,
-            checkpoint_template(num_insts, num_ports, config, &indiv_tp, &partition),
-        )
+        CheckpointWriter::new(cfg, config, num_ports, &start.indiv_tp, reps.partition())
     });
-    // One-shot checkpoints carry the whole corpus and its single round
-    // (training error still unknown), so a resume skips all measurement.
-    let checkpoint_rounds = vec![RoundStats::from_delta(
-        0,
-        &bench_stats,
-        bench_stats.measurements_performed,
-        f64::INFINITY,
-    )];
-    let evo_result = {
-        let mut observe;
-        let observer: Option<IslandObserver<'_>> = match writer.as_mut() {
-            Some(w) => {
-                observe = |state: &EvoState| {
-                    w.on_state(&CheckpointEvent {
-                        phase: CheckpointPhase::OneShot,
-                        evo: Some(state),
-                        measured: &measured,
-                        rounds: &checkpoint_rounds,
-                        round_mappings: &[],
-                        pool: &[],
-                        stream_taken: 0,
-                        used: bench_stats,
-                    })
-                };
-                Some(&mut observe)
-            }
-            None => None,
+    let hook = writer.as_mut().map(|w| w as &mut dyn CheckpointHook);
+    let outcome = if config.selection.is_adaptive() {
+        let ctx = AdaptiveContext {
+            islands: config.islands,
+            hook,
+            resume: start.resume,
+            prior: start.prior,
         };
-        evolve_islands(
-            reps.len(),
+        run_adaptive(
+            &reps,
             num_ports,
-            &rep_measured,
-            &rep_indiv,
+            start.measured,
+            backend,
+            config.selection,
+            &config.budget,
+            &config.adaptive,
             &config.evo,
-            &config.islands,
-            IslandStart::Fresh(Vec::new()),
-            true,
-            observer,
+            &run_start,
+            ctx,
         )
-        .result
+    } else {
+        let used = start.prior.plus(&backend.stats().since(&run_start));
+        evolve_one_shot(
+            &reps,
+            num_ports,
+            start.measured,
+            used,
+            config,
+            hook,
+            start.resume,
+        )
     };
 
-    // Expand the representative mapping back to the full universe.
-    let mapping = expand_mapping(&universe, &partition, &rep_index, &evo_result.mapping, num_ports);
-    let inference_time = infer_start.elapsed();
+    let this_run = backend.stats().since(&run_start);
+    finish(
+        &reps,
+        outcome,
+        start.prior.plus(&this_run),
+        this_run,
+        wall_start,
+    )
+}
 
-    let rounds = vec![RoundStats::from_delta(
-        0,
-        &bench_stats,
-        bench_stats.measurements_performed,
-        evo_result.objectives.error,
-    )];
-    PipelineResult {
-        round_mappings: vec![mapping.clone()],
-        mapping,
-        benchmarking_time: bench_stats.measurement_time,
-        inference_time,
-        measurements_performed: bench_stats.measurements_performed,
-        congruent_fraction: partition.merged_fraction(),
-        num_classes: partition.num_classes(),
-        num_experiments,
-        rounds,
-        evo: evo_result,
+/// What a run starts from — the same for a fresh and a resumed run.
+struct Start {
+    /// Congruence classes over the full universe.
+    partition: CongruencePartition,
+    /// Singleton throughput of every form, indexed by `InstId`.
+    indiv_tp: Vec<f64>,
+    /// The measured corpus so far, original ids, measurement order.
+    measured: Vec<MeasuredExperiment>,
+    /// Backend accounting of earlier processes (zero on a fresh run).
+    prior: BackendStats,
+    /// Where a resumed run continues; `None` starts fresh.
+    resume: Option<AdaptiveResume>,
+}
+
+impl Start {
+    /// A fresh run: measures the singleton sweep — the seed corpus of
+    /// every policy — then either the full pair corpus and the paper's
+    /// congruence partition (one-shot, paper Figure 5), or only the
+    /// pairwise-verified congruence seeding (round-based).
+    fn measure(
+        universe: &[InstId],
+        backend: &mut dyn MeasurementBackend,
+        config: &PipelineConfig,
+        run_start: &BackendStats,
+    ) -> Start {
+        let generator = ExperimentGenerator::new(universe.to_vec());
+        // Cost is accounted by the backend itself, so deduplicated
+        // measurements are not double-counted.
+        let singletons = generator.singletons();
+        let indiv_tp = backend.measure_batch_checked(&singletons);
+        let mut measured: Vec<MeasuredExperiment> = singletons
+            .into_iter()
+            .zip(indiv_tp.iter().copied())
+            .map(|(e, t)| MeasuredExperiment::new(e, t))
+            .collect();
+
+        let partition = if config.selection.is_adaptive() {
+            // The paper's partition needs the full pair corpus — exactly
+            // what the budget avoids — and merging from singleton
+            // throughputs alone would conflate port-disjoint forms.
+            // Verified seeding buys the class structure with one targeted
+            // pair measurement per candidate, clamped to whatever the
+            // mandatory singleton sweep left of the budget (like the round
+            // loop clamps its top-k submissions).
+            let seed_used = backend.stats().since(run_start);
+            if config.congruence_filtering && !config.budget.is_exhausted(&seed_used) {
+                let (partition, verification) = verified_congruence_seed(
+                    universe,
+                    &indiv_tp,
+                    backend,
+                    config.epsilon,
+                    config.budget.remaining_measurements(&seed_used),
+                );
+                measured.extend(verification);
+                partition
+            } else {
+                CongruencePartition::identity(universe)
+            }
+        } else {
+            let pairs = generator.pairs(&indiv_tp);
+            let pair_tp = backend.measure_batch_checked(&pairs);
+            measured.extend(
+                pairs
+                    .into_iter()
+                    .zip(pair_tp)
+                    .map(|(e, t)| MeasuredExperiment::new(e, t)),
+            );
+            if config.congruence_filtering {
+                CongruencePartition::compute(universe, &measured, config.epsilon)
+            } else {
+                CongruencePartition::identity(universe)
+            }
+        };
+        Start {
+            partition,
+            indiv_tp,
+            measured,
+            prior: BackendStats::default(),
+            resume: None,
+        }
+    }
+
+    /// A resumed run: validates the checkpoint's header against the
+    /// configuration and unpacks it; the congruence partition comes from
+    /// the stored class map.
+    fn unpack(
+        snapshot: &SessionCheckpoint,
+        universe: &[InstId],
+        num_ports: usize,
+        config: &PipelineConfig,
+    ) -> Start {
+        assert_eq!(snapshot.num_insts, universe.len(), "checkpoint instruction-universe mismatch");
+        assert_eq!(snapshot.num_ports, num_ports, "checkpoint port-count mismatch");
+        assert_eq!(snapshot.seed, config.evo.seed, "checkpoint seed mismatch");
+        assert_eq!(snapshot.islands, config.islands.count, "checkpoint island-count mismatch");
+        assert_eq!(
+            snapshot.population_size as usize, config.evo.population_size,
+            "checkpoint population-size mismatch"
+        );
+        assert_eq!(snapshot.selection, config.selection, "checkpoint selection-policy mismatch");
+        assert_eq!(snapshot.budget, config.budget, "checkpoint budget mismatch");
+        assert_eq!(
+            snapshot.phase == CheckpointPhase::OneShot,
+            !config.selection.is_adaptive(),
+            "checkpoint phase does not match the selection policy"
+        );
+        let repr: BTreeMap<InstId, InstId> = snapshot
+            .rep_of
+            .iter()
+            .enumerate()
+            .filter(|&(i, &r)| r != i as u32)
+            .map(|(i, &r)| (InstId(i as u32), InstId(r)))
+            .collect();
+        Start {
+            partition: CongruencePartition::from_representatives(universe, repr),
+            indiv_tp: snapshot.indiv_tp.clone(),
+            measured: snapshot.measured.clone(),
+            prior: snapshot.used,
+            resume: Some(AdaptiveResume {
+                phase: snapshot.phase,
+                evo: snapshot.evo.clone(),
+                pool: snapshot.pool.clone(),
+                stream_taken: snapshot.stream_taken,
+                rounds: snapshot.rounds.clone(),
+                round_mappings: snapshot.round_mappings.clone(),
+            }),
+        }
     }
 }
 
@@ -511,299 +539,106 @@ fn verified_congruence_seed(
     )
 }
 
-/// The round-based pipeline: pairwise-verified congruence seeding, then
-/// the interleaved measure→evolve loop of [`crate::selection`].
-#[allow(clippy::too_many_arguments)]
-fn run_adaptive_pipeline(
+/// The one-shot flow (paper Figure 5): evolution with local search on
+/// the whole measured corpus, as a single round. `used` is the budget
+/// accounting of the corpus; a resumed run continues the checkpointed
+/// evolution state exactly where it stopped.
+fn evolve_one_shot(
+    reps: &RepUniverse,
     num_ports: usize,
-    universe: &[InstId],
-    measured_singletons: Vec<MeasuredExperiment>,
-    indiv_tp: &[f64],
-    backend: &mut dyn MeasurementBackend,
+    measured: Vec<MeasuredExperiment>,
+    used: BackendStats,
     config: &PipelineConfig,
-    run_start: BackendStats,
-    wall_start: Instant,
-) -> PipelineResult {
-    // The paper's partition needs the full pair corpus — exactly what
-    // the budget avoids — and merging from singleton throughputs alone
-    // would conflate port-disjoint forms. Verified seeding buys the
-    // class structure with one targeted pair measurement per candidate,
-    // clamped to whatever the mandatory singleton sweep left of the
-    // budget (like the round loop clamps its top-k submissions).
-    let seed_used = backend.stats().since(&run_start);
-    let seeding_affordable = !config.budget.is_exhausted(&seed_used);
-    let (partition, verification) = if config.congruence_filtering && seeding_affordable {
-        verified_congruence_seed(
-            universe,
-            indiv_tp,
-            backend,
-            config.epsilon,
-            config.budget.remaining_measurements(&seed_used),
-        )
-    } else {
-        (CongruencePartition::identity(universe), Vec::new())
+    hook: Option<&mut dyn CheckpointHook>,
+    resume: Option<AdaptiveResume>,
+) -> AdaptiveOutcome {
+    let start = match resume {
+        Some(r) => IslandStart::Resume(EvoState::from_checkpoint(
+            r.evo
+                .as_ref()
+                .expect("a one-shot checkpoint carries evolution state"),
+        )),
+        None => IslandStart::Fresh(Vec::new()),
     };
-    let reps = partition.representatives().to_vec();
-    let rep_index: BTreeMap<InstId, u32> = reps
-        .iter()
-        .enumerate()
-        .map(|(k, &id)| (id, k as u32))
-        .collect();
-    let rep_indiv: Vec<f64> = reps.iter().map(|&id| indiv_tp[id.index()]).collect();
-    // The training seed: singleton sweep plus the verification pairs,
-    // restricted to experiments entirely over representatives (a merged
-    // candidate's measurements are paid for but train nothing — its
-    // representative carries the class).
-    let seed_measured: Vec<MeasuredExperiment> = measured_singletons
-        .into_iter()
-        .chain(verification)
-        .filter(|me| me.experiment.iter().all(|(i, _)| rep_index.contains_key(&i)))
-        .collect();
-
-    let mut writer = config.checkpoint.as_ref().map(|cfg| {
-        CheckpointWriter::new(
-            cfg,
-            checkpoint_template(universe.len(), num_ports, config, indiv_tp, &partition),
+    let dense = reps.dense_corpus(&measured);
+    // One-shot checkpoints carry the whole corpus and its single round
+    // (training error still unknown), so a resume skips all measurement.
+    let mut rounds = vec![RoundStats::from_delta(
+        0,
+        &used,
+        used.measurements_performed,
+        f64::INFINITY,
+    )];
+    let evolution = {
+        let mut observe;
+        let observer: Option<IslandObserver<'_>> = match hook {
+            Some(h) => {
+                observe = |state: &EvoState| {
+                    h.on_state(&CheckpointEvent {
+                        phase: CheckpointPhase::OneShot,
+                        evo: Some(state),
+                        measured: &measured,
+                        rounds: &rounds,
+                        round_mappings: &[],
+                        pool: &[],
+                        stream_taken: 0,
+                        used,
+                    })
+                };
+                Some(&mut observe)
+            }
+            None => None,
+        };
+        evolve_islands(
+            reps.reps().len(),
+            num_ports,
+            &dense,
+            reps.indiv_tp(),
+            &config.evo,
+            &config.islands,
+            start,
+            true,
+            observer,
         )
-    });
-    let ctx = AdaptiveContext {
-        islands: config.islands,
-        hook: writer.as_mut().map(|w| w as &mut dyn CheckpointHook),
-        resume: None,
-        prior: BackendStats::default(),
     };
-    let outcome = run_adaptive_with(
-        &reps,
-        num_ports,
-        &rep_indiv,
-        seed_measured,
-        backend,
-        config.selection,
-        &config.budget,
-        &config.adaptive,
-        &config.evo,
-        &run_start,
-        ctx,
-    );
-
-    let bench_stats = backend.stats().since(&run_start);
-    let mapping = expand_mapping(universe, &partition, &rep_index, &outcome.evo.mapping, num_ports);
-    let round_mappings: Vec<ThreeLevelMapping> = outcome
-        .round_mappings
-        .iter()
-        .map(|dense| expand_mapping(universe, &partition, &rep_index, dense, num_ports))
-        .collect();
-
-    PipelineResult {
-        mapping,
-        benchmarking_time: bench_stats.measurement_time,
-        // Measurement and inference interleave here, so inference time
-        // is everything that was not spent measuring.
-        inference_time: wall_start
-            .elapsed()
-            .saturating_sub(bench_stats.measurement_time),
-        measurements_performed: bench_stats.measurements_performed,
-        congruent_fraction: partition.merged_fraction(),
-        num_classes: partition.num_classes(),
-        num_experiments: outcome.measured.len(),
-        rounds: outcome.rounds,
-        round_mappings,
-        evo: outcome.evo,
+    rounds[0].training_error = evolution.result.objectives.error;
+    AdaptiveOutcome {
+        round_mappings: vec![evolution.result.mapping.clone()],
+        evo: evolution.result,
+        measured,
+        rounds,
+        halted: evolution.halted,
     }
 }
 
-/// Continues a checkpointed run. Nothing is re-measured: the corpus,
-/// singleton throughputs and congruence classes all come from the
-/// artifact, and budget accounting starts from the checkpoint's
-/// [`SessionCheckpoint::used`]. The resumed run's result is
-/// bit-identical to the uninterrupted run's (up to wall-clock timings).
-///
-/// # Panics
-///
-/// Panics when the checkpoint's header disagrees with the current
-/// configuration (universe size, port count, seed, islands, population
-/// size, selection policy, or budget).
-fn resume_run(
-    num_insts: usize,
-    num_ports: usize,
-    backend: &mut dyn MeasurementBackend,
-    config: &PipelineConfig,
-    snapshot: &SessionCheckpoint,
+/// Expands an evolution outcome to the full universe and adds the
+/// Table 2 bookkeeping. `used` is the whole run's backend accounting
+/// (earlier processes included), `this_run` this call's share of it.
+/// Measurement and inference may interleave, so inference time is the
+/// wall time of this call not spent measuring.
+fn finish(
+    reps: &RepUniverse,
+    outcome: AdaptiveOutcome,
+    used: BackendStats,
+    this_run: BackendStats,
+    wall_start: Instant,
 ) -> PipelineResult {
-    assert_eq!(snapshot.num_insts, num_insts, "checkpoint instruction-universe mismatch");
-    assert_eq!(snapshot.num_ports, num_ports, "checkpoint port-count mismatch");
-    assert_eq!(snapshot.seed, config.evo.seed, "checkpoint seed mismatch");
-    assert_eq!(snapshot.islands, config.islands.count, "checkpoint island-count mismatch");
-    assert_eq!(
-        snapshot.population_size as usize, config.evo.population_size,
-        "checkpoint population-size mismatch"
-    );
-    assert_eq!(snapshot.selection, config.selection, "checkpoint selection-policy mismatch");
-    assert_eq!(snapshot.budget, config.budget, "checkpoint budget mismatch");
-
-    let universe: Vec<InstId> = (0..num_insts as u32).map(InstId).collect();
-    let run_start: BackendStats = backend.stats();
-    let wall_start = Instant::now();
-    let prior = snapshot.used;
-
-    // Reconstruct the congruence partition from the stored class map.
-    let repr: BTreeMap<InstId, InstId> = snapshot
-        .rep_of
-        .iter()
-        .enumerate()
-        .filter(|&(i, &r)| r != i as u32)
-        .map(|(i, &r)| (InstId(i as u32), InstId(r)))
-        .collect();
-    let partition = CongruencePartition::from_representatives(&universe, repr);
-    let reps = partition.representatives().to_vec();
-    let rep_index: BTreeMap<InstId, u32> = reps
-        .iter()
-        .enumerate()
-        .map(|(k, &id)| (id, k as u32))
-        .collect();
-    let rep_indiv: Vec<f64> = reps
-        .iter()
-        .map(|&id| snapshot.indiv_tp[id.index()])
-        .collect();
-
-    // Keep checkpointing the continued run through the same header.
-    let mut writer = config.checkpoint.as_ref().map(|cfg| {
-        let mut template = snapshot.clone();
-        template.used = BackendStats::default();
-        template.measured = Vec::new();
-        template.rounds = Vec::new();
-        template.round_mappings = Vec::new();
-        template.pool = Vec::new();
-        template.stream_taken = 0;
-        template.phase = CheckpointPhase::OneShot;
-        template.evo = None;
-        CheckpointWriter::new(cfg, template)
-    });
-
-    if snapshot.phase == CheckpointPhase::OneShot {
-        // --- One-shot resume: the corpus is fully measured; restart the
-        // evolution loop exactly where the checkpoint left it. ---
-        let num_experiments = snapshot.measured.len();
-        let rep_measured: Vec<MeasuredExperiment> = snapshot
-            .measured
-            .iter()
-            .filter(|me| me.experiment.iter().all(|(i, _)| rep_index.contains_key(&i)))
-            .map(|me| {
-                let exp = me.experiment.map_insts(|i| InstId(rep_index[&i]));
-                MeasuredExperiment::new(exp, me.throughput)
-            })
-            .collect();
-        let state = EvoState::from_checkpoint(
-            snapshot
-                .evo
-                .as_ref()
-                .expect("a one-shot checkpoint carries evolution state"),
-        );
-        let evo_result = {
-            let mut observe;
-            let observer: Option<IslandObserver<'_>> = match writer.as_mut() {
-                Some(w) => {
-                    observe = |state: &EvoState| {
-                        w.on_state(&CheckpointEvent {
-                            phase: CheckpointPhase::OneShot,
-                            evo: Some(state),
-                            measured: &snapshot.measured,
-                            rounds: &snapshot.rounds,
-                            round_mappings: &[],
-                            pool: &[],
-                            stream_taken: 0,
-                            used: prior,
-                        })
-                    };
-                    Some(&mut observe)
-                }
-                None => None,
-            };
-            evolve_islands(
-                reps.len(),
-                num_ports,
-                &rep_measured,
-                &rep_indiv,
-                &config.evo,
-                &config.islands,
-                IslandStart::Resume(state),
-                true,
-                observer,
-            )
-            .result
-        };
-        let bench_stats = prior.plus(&backend.stats().since(&run_start));
-        let mapping =
-            expand_mapping(&universe, &partition, &rep_index, &evo_result.mapping, num_ports);
-        let rounds = vec![RoundStats::from_delta(
-            0,
-            &bench_stats,
-            bench_stats.measurements_performed,
-            evo_result.objectives.error,
-        )];
-        return PipelineResult {
-            round_mappings: vec![mapping.clone()],
-            mapping,
-            benchmarking_time: bench_stats.measurement_time,
-            inference_time: wall_start.elapsed(),
-            measurements_performed: bench_stats.measurements_performed,
-            congruent_fraction: partition.merged_fraction(),
-            num_classes: partition.num_classes(),
-            num_experiments,
-            rounds,
-            evo: evo_result,
-        };
-    }
-
-    // --- Adaptive resume: re-enter the round loop mid-flight. ---
-    let resume = AdaptiveResume {
-        phase: snapshot.phase,
-        evo: snapshot.evo.clone(),
-        pool: snapshot.pool.clone(),
-        stream_taken: snapshot.stream_taken,
-        rounds: snapshot.rounds.clone(),
-        round_mappings: snapshot.round_mappings.clone(),
-    };
-    let ctx = AdaptiveContext {
-        islands: config.islands,
-        hook: writer.as_mut().map(|w| w as &mut dyn CheckpointHook),
-        resume: Some(resume),
-        prior,
-    };
-    let outcome = run_adaptive_with(
-        &reps,
-        num_ports,
-        &rep_indiv,
-        snapshot.measured.clone(),
-        backend,
-        config.selection,
-        &config.budget,
-        &config.adaptive,
-        &config.evo,
-        &run_start,
-        ctx,
-    );
-
-    let bench_stats = prior.plus(&backend.stats().since(&run_start));
-    let mapping = expand_mapping(&universe, &partition, &rep_index, &outcome.evo.mapping, num_ports);
-    let round_mappings: Vec<ThreeLevelMapping> = outcome
-        .round_mappings
-        .iter()
-        .map(|dense| expand_mapping(&universe, &partition, &rep_index, dense, num_ports))
-        .collect();
-
     PipelineResult {
-        mapping,
-        benchmarking_time: bench_stats.measurement_time,
+        mapping: reps.expand(&outcome.evo.mapping),
+        benchmarking_time: used.measurement_time,
         inference_time: wall_start
             .elapsed()
-            .saturating_sub(bench_stats.measurement_time),
-        measurements_performed: bench_stats.measurements_performed,
-        congruent_fraction: partition.merged_fraction(),
-        num_classes: partition.num_classes(),
+            .saturating_sub(this_run.measurement_time),
+        measurements_performed: used.measurements_performed,
+        congruent_fraction: reps.partition().merged_fraction(),
+        num_classes: reps.partition().num_classes(),
         num_experiments: outcome.measured.len(),
         rounds: outcome.rounds,
-        round_mappings,
+        round_mappings: outcome
+            .round_mappings
+            .iter()
+            .map(|m| reps.expand(m))
+            .collect(),
         evo: outcome.evo,
     }
 }
@@ -961,20 +796,5 @@ mod tests {
         // Of the two merge candidates (i1→i0, i3→i2) only the first
         // could be verified; the unverified one stays its own class.
         assert_eq!(result.num_classes, 4);
-    }
-
-    #[test]
-    fn extra_triples_extend_the_training_set() {
-        let mut base_cfg = small_config();
-        base_cfg.evo.max_generations = 2;
-        let mut triple_cfg = base_cfg.clone();
-        triple_cfg.extra_triples = 6;
-        let base = run(5, 3, &mut ModelBackend::new(toy_ground_truth()), &base_cfg);
-        let with_triples = run(5, 3, &mut ModelBackend::new(toy_ground_truth()), &triple_cfg);
-        assert_eq!(
-            with_triples.num_experiments,
-            base.num_experiments + 6,
-            "triples must be measured on top of singletons and pairs"
-        );
     }
 }

@@ -11,8 +11,8 @@
 //! Each round:
 //!
 //! 1. **evolve** a few generations on everything measured so far
-//!    (warm-started from the previous round's population,
-//!    [`evolve_resumable`](crate::evolution::evolve_resumable));
+//!    (warm-started from the previous round's island populations,
+//!    [`evolve_islands`]);
 //! 2. **score** a bounded pool of unmeasured candidates — pulled lazily
 //!    from [`ExperimentGenerator::candidates`] — by the variance of
 //!    their predicted throughput across the fittest population members
@@ -65,6 +65,7 @@
 //! assert_eq!(result.round_mappings.len(), result.rounds.len());
 //! ```
 
+use crate::congruence::RepUniverse;
 use crate::evolution::{EvoConfig, EvoResult};
 use crate::expgen::ExperimentGenerator;
 use crate::fitness::Objectives;
@@ -73,13 +74,12 @@ use crate::islands::{
 };
 use pmevo_core::checkpoint::{CheckpointPhase, EvoCheckpoint};
 use pmevo_core::{
-    BackendStats, CompiledExperiments, Experiment, InstId, MeasuredExperiment,
-    MeasurementBackend, MeasurementBudget, RoundStats, SelectionPolicy, ThreeLevelMapping,
-    ThroughputSolver,
+    BackendStats, CompiledExperiments, Experiment, MeasuredExperiment, MeasurementBackend,
+    MeasurementBudget, RoundStats, SelectionPolicy, ThreeLevelMapping, ThroughputSolver,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Tuning knobs of the round-based loop, deliberately separate from the
 /// serializable [`SelectionPolicy`]: these shape *how* the loop runs,
@@ -113,8 +113,9 @@ impl Default for AdaptiveTuning {
     }
 }
 
-/// Outcome of one [`run_adaptive`] loop, over the representative
-/// universe it was given.
+/// Outcome of an evolution flow over the dense representative universe:
+/// one [`run_adaptive`] loop, or the pipeline's one-shot evolution (a
+/// single round over the whole corpus).
 #[derive(Debug, Clone)]
 pub struct AdaptiveOutcome {
     /// The final evolution result (after the full-configuration polish
@@ -175,7 +176,9 @@ pub trait CheckpointHook {
 }
 
 /// Mid-run state to continue from, decoded from a checkpoint artifact.
-/// The restored run is bit-identical to the uninterrupted one.
+/// The restored run is bit-identical to the uninterrupted one. A
+/// [`CheckpointPhase::OneShot`] state is continued by the pipeline's
+/// one-shot flow, which only reads its [`evo`](Self::evo).
 #[derive(Debug, Clone)]
 pub struct AdaptiveResume {
     /// Where the checkpoint was taken.
@@ -193,9 +196,9 @@ pub struct AdaptiveResume {
     pub round_mappings: Vec<ThreeLevelMapping>,
 }
 
-/// Extensions threaded through [`run_adaptive_with`]: island topology,
-/// the checkpoint observer, resume state, and cross-process budget
-/// accounting. [`run_adaptive`] uses the default (one island, no hook).
+/// Extensions threaded through [`run_adaptive`]: island topology, the
+/// checkpoint observer, resume state, and cross-process budget
+/// accounting. The default is one island, no hook, a fresh start.
 #[derive(Default)]
 pub struct AdaptiveContext<'a> {
     /// Island topology for every evolution segment.
@@ -219,54 +222,14 @@ fn segment_seed(base: u64, round: u32) -> u64 {
     base ^ (u64::from(round).wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Runs the round-based measure→evolve loop over the representative
-/// universe `reps` (original instruction ids; dense position in `reps`
-/// is the id evolution sees).
+/// Runs the round-based measure→evolve loop over the dense
+/// representative universe `universe`.
 ///
 /// `seed_measured` is the already-measured seed corpus in original ids —
-/// at least one singleton per representative, matching `rep_indiv` —
-/// and `run_start` the backend-stats snapshot from before it was
-/// measured, so the seed corpus is charged against `budget`.
-///
-/// The caller (normally [`crate::pipeline::run`]) owns congruence
-/// filtering and the expansion of dense mappings back to the full
-/// universe.
-///
-/// # Panics
-///
-/// Panics if `policy` is not adaptive, inputs are inconsistent, or the
-/// backend misbehaves.
-#[allow(clippy::too_many_arguments)]
-pub fn run_adaptive(
-    reps: &[InstId],
-    num_ports: usize,
-    rep_indiv: &[f64],
-    seed_measured: Vec<MeasuredExperiment>,
-    backend: &mut dyn MeasurementBackend,
-    policy: SelectionPolicy,
-    budget: &MeasurementBudget,
-    tuning: &AdaptiveTuning,
-    evo_config: &EvoConfig,
-    run_start: &BackendStats,
-) -> AdaptiveOutcome {
-    run_adaptive_with(
-        reps,
-        num_ports,
-        rep_indiv,
-        seed_measured,
-        backend,
-        policy,
-        budget,
-        tuning,
-        evo_config,
-        run_start,
-        AdaptiveContext::default(),
-    )
-}
-
-/// [`run_adaptive`] with an explicit [`AdaptiveContext`]: island
-/// topology, checkpoint observation, and resume-from-checkpoint. With
-/// the default context this is exactly [`run_adaptive`], bit for bit.
+/// at least one singleton per representative — and `run_start` the
+/// backend-stats snapshot from before it was measured, so the seed
+/// corpus is charged against `budget`. Seed experiments that touch a
+/// merged-away form are dropped: they are paid for but train nothing.
 ///
 /// On resume, pass the checkpoint's measured corpus as `seed_measured`
 /// and the backend-stats snapshot of the *new* process as `run_start`;
@@ -275,16 +238,20 @@ pub fn run_adaptive(
 /// run's budget decisions and final outcome are bit-identical to the
 /// uninterrupted run's.
 ///
+/// The caller (normally [`crate::pipeline::run`]) owns congruence
+/// filtering and the expansion of dense mappings back to the full
+/// universe.
+///
 /// # Panics
 ///
-/// As [`run_adaptive`]; additionally if the resume state is internally
-/// inconsistent (wrong phase, missing evolution state, stream cursor
-/// beyond the candidate stream).
+/// Panics if `policy` is not adaptive, inputs are inconsistent, the
+/// backend misbehaves, or the resume state is internally inconsistent
+/// (wrong phase, missing evolution state, stream cursor beyond the
+/// candidate stream).
 #[allow(clippy::too_many_arguments)]
-pub fn run_adaptive_with(
-    reps: &[InstId],
+pub fn run_adaptive(
+    universe: &RepUniverse,
     num_ports: usize,
-    rep_indiv: &[f64],
     seed_measured: Vec<MeasuredExperiment>,
     backend: &mut dyn MeasurementBackend,
     policy: SelectionPolicy,
@@ -298,8 +265,6 @@ pub fn run_adaptive_with(
         .top_k()
         .expect("run_adaptive needs a round-based selection policy");
     assert!(top_k >= 1, "selection policy must submit at least one experiment per round");
-    assert_eq!(rep_indiv.len(), reps.len(), "individual-throughput table size mismatch");
-    assert!(!seed_measured.is_empty(), "empty seed corpus");
 
     let AdaptiveContext {
         islands: islands_cfg,
@@ -308,24 +273,18 @@ pub fn run_adaptive_with(
         prior,
     } = ctx;
 
-    let rep_index: BTreeMap<InstId, u32> = reps
-        .iter()
-        .enumerate()
-        .map(|(k, &id)| (id, k as u32))
+    let mut measured: Vec<MeasuredExperiment> = seed_measured
+        .into_iter()
+        .filter(|me| universe.covers(&me.experiment))
         .collect();
-    let to_dense = |e: &Experiment| e.map_insts(|i| InstId(rep_index[&i]));
-
-    let mut measured = seed_measured;
+    assert!(!measured.is_empty(), "empty seed corpus");
     let mut measured_set: BTreeSet<Experiment> =
         measured.iter().map(|me| me.experiment.clone()).collect();
-    let mut dense_measured: Vec<MeasuredExperiment> = measured
-        .iter()
-        .map(|me| MeasuredExperiment::new(to_dense(&me.experiment), me.throughput))
-        .collect();
+    let mut dense_measured = universe.dense_corpus(&measured);
 
     // The streaming candidate source and its bounded pool.
-    let generator = ExperimentGenerator::new(reps.to_vec());
-    let mut stream = generator.candidates(rep_indiv);
+    let generator = ExperimentGenerator::new(universe.reps().to_vec());
+    let mut stream = generator.candidates(universe.indiv_tp());
     let pool_target = top_k.max(1) * tuning.pool_factor.max(1);
 
     let mut pool: Vec<Experiment>;
@@ -378,7 +337,7 @@ pub fn run_adaptive_with(
                     skip_rounds = true;
                 }
                 CheckpointPhase::OneShot => {
-                    panic!("one-shot checkpoints resume through the pipeline, not run_adaptive")
+                    panic!("one-shot checkpoints resume through the pipeline's one-shot flow")
                 }
             }
         }
@@ -436,10 +395,10 @@ pub fn run_adaptive_with(
                 None => None,
             };
             evolve_islands(
-                reps.len(),
+                universe.reps().len(),
                 num_ports,
                 &dense_measured,
-                rep_indiv,
+                universe.indiv_tp(),
                 &segment_config,
                 &islands_cfg,
                 start,
@@ -495,7 +454,7 @@ pub fn run_adaptive_with(
                     .collect();
                 disagreement_scores(
                     &pool,
-                    &to_dense,
+                    universe,
                     &flat_pop,
                     &flat_obj,
                     tuning.ensemble,
@@ -540,7 +499,7 @@ pub fn run_adaptive_with(
             .measurements_performed;
         for (e, t) in selected.into_iter().zip(throughputs) {
             measured_set.insert(e.clone());
-            dense_measured.push(MeasuredExperiment::new(to_dense(&e), t));
+            dense_measured.push(MeasuredExperiment::new(universe.to_dense(&e), t));
             measured.push(MeasuredExperiment::new(e, t));
         }
         // Training error is overwritten by the next evolve segment.
@@ -612,10 +571,10 @@ pub fn run_adaptive_with(
         })
         .collect();
     let warm = evolve_islands(
-        reps.len(),
+        universe.reps().len(),
         num_ports,
         &dense_measured,
-        rep_indiv,
+        universe.indiv_tp(),
         evo_config,
         &islands_cfg,
         IslandStart::Fresh(warm_seed),
@@ -623,10 +582,10 @@ pub fn run_adaptive_with(
         None,
     );
     let fresh = evolve_islands(
-        reps.len(),
+        universe.reps().len(),
         num_ports,
         &dense_measured,
-        rep_indiv,
+        universe.indiv_tp(),
         evo_config,
         &islands_cfg,
         IslandStart::Fresh(Vec::new()),
@@ -667,7 +626,7 @@ pub fn run_adaptive_with(
 /// scores are a pure function of the inputs.
 fn disagreement_scores(
     pool: &[Experiment],
-    to_dense: &dyn Fn(&Experiment) -> Experiment,
+    universe: &RepUniverse,
     population: &[&ThreeLevelMapping],
     objectives: &[Objectives],
     ensemble: usize,
@@ -687,7 +646,7 @@ fn disagreement_scores(
     // candidates are unmeasured — only predictions are read).
     let placeholder: Vec<MeasuredExperiment> = pool
         .iter()
-        .map(|e| MeasuredExperiment::new(to_dense(e), 1.0))
+        .map(|e| MeasuredExperiment::new(universe.to_dense(e), 1.0))
         .collect();
     let compiled = CompiledExperiments::compile(&placeholder);
 
@@ -711,7 +670,8 @@ fn disagreement_scores(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmevo_core::{ModelBackend, PortSet, UopEntry};
+    use crate::congruence::CongruencePartition;
+    use pmevo_core::{InstId, ModelBackend, PortSet, UopEntry};
 
     fn uop(count: u32, ports: &[usize]) -> UopEntry {
         UopEntry::new(count, PortSet::from_ports(ports))
@@ -730,19 +690,50 @@ mod tests {
         )
     }
 
-    fn seed_corpus(
-        backend: &mut dyn MeasurementBackend,
-        n: u32,
-    ) -> (Vec<MeasuredExperiment>, Vec<f64>) {
-        let singletons: Vec<Experiment> =
-            (0..n).map(|i| Experiment::singleton(InstId(i))).collect();
+    /// Measures the 5-form toy's singletons: the seed corpus, and the
+    /// identity (unfiltered) dense universe over it.
+    fn seed_corpus(backend: &mut dyn MeasurementBackend) -> (Vec<MeasuredExperiment>, RepUniverse) {
+        let ids: Vec<InstId> = (0..5).map(InstId).collect();
+        let singletons: Vec<Experiment> = ids.iter().map(|&i| Experiment::singleton(i)).collect();
         let tp = backend.measure_batch_checked(&singletons);
         let measured = singletons
             .into_iter()
             .zip(tp.iter().copied())
             .map(|(e, t)| MeasuredExperiment::new(e, t))
             .collect();
-        (measured, tp)
+        (
+            measured,
+            RepUniverse::new(CongruencePartition::identity(&ids), &tp),
+        )
+    }
+
+    /// One fresh adaptive run on the toy machine.
+    fn run_toy(
+        policy: SelectionPolicy,
+        budget: MeasurementBudget,
+        evo: &EvoConfig,
+    ) -> AdaptiveOutcome {
+        let mut backend = ModelBackend::new(toy_ground_truth());
+        let run_start = backend.stats();
+        let (seed, universe) = seed_corpus(&mut backend);
+        let outcome = run_adaptive(
+            &universe,
+            3,
+            seed,
+            &mut backend,
+            policy,
+            &budget,
+            &AdaptiveTuning::default(),
+            evo,
+            &run_start,
+            AdaptiveContext::default(),
+        );
+        assert_eq!(
+            outcome.rounds.last().unwrap().cumulative_measurements,
+            backend.stats().measurements_performed,
+            "cumulative counts end at the backend total"
+        );
+        outcome
     }
 
     fn small_evo(seed: u64) -> EvoConfig {
@@ -757,35 +748,20 @@ mod tests {
 
     #[test]
     fn budget_caps_real_measurements() {
-        let mut backend = ModelBackend::new(toy_ground_truth());
-        let run_start = backend.stats();
-        let reps: Vec<InstId> = (0..5).map(InstId).collect();
-        let (seed, tp) = seed_corpus(&mut backend, 5);
-        let outcome = run_adaptive(
-            &reps,
-            3,
-            &tp,
-            seed,
-            &mut backend,
+        let outcome = run_toy(
             SelectionPolicy::Disagreement { top_k: 2 },
-            &MeasurementBudget::measurements(9),
-            &AdaptiveTuning::default(),
+            MeasurementBudget::measurements(9),
             &small_evo(7),
-            &run_start,
         );
-        let performed = backend.stats().measurements_performed;
+        let performed = outcome.rounds.last().unwrap().cumulative_measurements;
         assert!(performed <= 9 + 1, "budget overshot: {performed}");
         assert!(outcome.rounds.len() >= 2);
         assert_eq!(outcome.round_mappings.len(), outcome.rounds.len());
-        // Cumulative counts are monotone and end at the backend total.
+        // Cumulative counts are monotone.
         for w in outcome.rounds.windows(2) {
             assert!(w[1].cumulative_measurements >= w[0].cumulative_measurements);
             assert_eq!(w[1].round, w[0].round + 1);
         }
-        assert_eq!(
-            outcome.rounds.last().unwrap().cumulative_measurements,
-            performed
-        );
         assert_eq!(outcome.measured.len(), performed as usize);
         // Every training error was filled in.
         assert!(outcome.rounds.iter().all(|r| r.training_error.is_finite()));
@@ -793,19 +769,9 @@ mod tests {
 
     #[test]
     fn unlimited_budget_drains_the_candidate_stream() {
-        let mut backend = ModelBackend::new(toy_ground_truth());
-        let run_start = backend.stats();
-        let reps: Vec<InstId> = (0..5).map(InstId).collect();
-        let (seed, tp) = seed_corpus(&mut backend, 5);
-        let outcome = run_adaptive(
-            &reps,
-            3,
-            &tp,
-            seed,
-            &mut backend,
+        let outcome = run_toy(
             SelectionPolicy::Disagreement { top_k: 4 },
-            &MeasurementBudget::UNLIMITED,
-            &AdaptiveTuning::default(),
+            MeasurementBudget::UNLIMITED,
             &EvoConfig {
                 population_size: 60,
                 max_generations: 40,
@@ -816,12 +782,12 @@ mod tests {
                 seed: 5,
                 ..EvoConfig::default()
             },
-            &run_start,
         );
         // All pairs of the 5-instruction universe end up measured: the
         // loop stops on stream exhaustion, not on budget.
-        let generator = ExperimentGenerator::new(reps);
-        let all = generator.pairs(&tp).len() + 5;
+        let (_, universe) = seed_corpus(&mut ModelBackend::new(toy_ground_truth()));
+        let generator = ExperimentGenerator::new(universe.reps().to_vec());
+        let all = generator.pairs(universe.indiv_tp()).len() + 5;
         assert_eq!(outcome.measured.len(), all);
         // With everything measured the fit reaches the one-shot quality.
         assert!(
@@ -833,24 +799,7 @@ mod tests {
 
     #[test]
     fn uniform_policy_differs_but_stays_deterministic() {
-        let run = |policy| {
-            let mut backend = ModelBackend::new(toy_ground_truth());
-            let run_start = backend.stats();
-            let reps: Vec<InstId> = (0..5).map(InstId).collect();
-            let (seed, tp) = seed_corpus(&mut backend, 5);
-            run_adaptive(
-                &reps,
-                3,
-                &tp,
-                seed,
-                &mut backend,
-                policy,
-                &MeasurementBudget::measurements(11),
-                &AdaptiveTuning::default(),
-                &small_evo(5),
-                &run_start,
-            )
-        };
+        let run = |policy| run_toy(policy, MeasurementBudget::measurements(11), &small_evo(5));
         let a = run(SelectionPolicy::Uniform { top_k: 2 });
         let b = run(SelectionPolicy::Uniform { top_k: 2 });
         assert_eq!(a.measured, b.measured);
@@ -863,20 +812,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "round-based selection policy")]
     fn one_shot_policy_is_rejected() {
-        let mut backend = ModelBackend::new(toy_ground_truth());
-        let run_start = backend.stats();
-        let (seed, tp) = seed_corpus(&mut backend, 5);
-        run_adaptive(
-            &(0..5).map(InstId).collect::<Vec<_>>(),
-            3,
-            &tp,
-            seed,
-            &mut backend,
+        run_toy(
             SelectionPolicy::OneShot,
-            &MeasurementBudget::UNLIMITED,
-            &AdaptiveTuning::default(),
+            MeasurementBudget::UNLIMITED,
             &small_evo(1),
-            &run_start,
         );
     }
 }

@@ -317,6 +317,13 @@ fn cmd_infer(args: &[String]) -> ExitCode {
         eprintln!("--islands and --checkpoint are only supported by the pmevo algorithm");
         return ExitCode::from(2);
     }
+    // Fail before measuring anything, not at the first checkpoint write.
+    if let Some(path) = checkpoint_path.as_deref() {
+        if let Err(e) = check_checkpoint_writable(path) {
+            eprintln!("error: cannot write checkpoint {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     eprintln!(
         "inferring port mapping for {} with {algorithm} (population {population}, seed {seed}) ...",
         platform.name()
@@ -376,6 +383,19 @@ fn cmd_infer(args: &[String]) -> ExitCode {
     }
     println!("{out}");
     ExitCode::SUCCESS
+}
+
+/// Checks that checkpoints can be saved to `path`. A save writes a
+/// `.tmp` sibling and renames it into place, so that sibling must be
+/// creatable; the probe file is removed again.
+fn check_checkpoint_writable(path: &str) -> std::io::Result<()> {
+    let tmp = std::path::Path::new(path).with_extension("tmp");
+    std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&tmp)?;
+    std::fs::remove_file(&tmp)
 }
 
 /// `convert`: re-encode a mapping artifact between JSON and the compact

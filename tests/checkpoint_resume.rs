@@ -4,20 +4,15 @@
 //! count and island count — plus a golden on-disk fixture that pins the
 //! v1 artifact format itself.
 
+mod support;
+
 use proptest::prelude::*;
 use pmevo::core::{MeasurementBudget, SelectionPolicy};
 use pmevo::machine::platforms;
 use pmevo::{Session, SessionCheckpoint, SessionReport};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-/// A per-test scratch directory under the system temp dir. Tests write
-/// uniquely-named files into it, so no cleanup races between tests.
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("pmevo_checkpoint_resume").join(name);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+use support::TempDir;
 
 /// Everything that parameterizes one inference run in these tests.
 #[derive(Clone, Copy)]
@@ -85,11 +80,11 @@ fn kill_and_resume(run: Run, dir: &Path, tag: &str, halt_after: u32) -> (Session
 /// bit-identical to the uninterrupted run — at 1, 2 and 8 workers.
 #[test]
 fn killed_adaptive_session_resumes_bit_identically_at_1_2_8_workers() {
-    let dir = scratch_dir("adaptive_workers");
+    let dir = TempDir::new("checkpoint_resume");
     let mut reports = Vec::new();
     for workers in [1usize, 2, 8] {
         let run = Run { seed: 77, islands: 2, workers, adaptive: true };
-        let (full, resumed) = kill_and_resume(run, &dir, &format!("w{workers}"), 3);
+        let (full, resumed) = kill_and_resume(run, dir.path(), &format!("w{workers}"), 3);
         assert_eq!(
             resumed.without_timings(),
             full.without_timings(),
@@ -106,10 +101,10 @@ fn killed_adaptive_session_resumes_bit_identically_at_1_2_8_workers() {
 /// rather than between selection rounds.
 #[test]
 fn killed_one_shot_session_resumes_bit_identically() {
-    let dir = scratch_dir("one_shot");
+    let dir = TempDir::new("checkpoint_resume");
     for workers in [1usize, 2, 8] {
         let run = Run { seed: 5, islands: 3, workers, adaptive: false };
-        let (full, resumed) = kill_and_resume(run, &dir, &format!("w{workers}"), 2);
+        let (full, resumed) = kill_and_resume(run, dir.path(), &format!("w{workers}"), 2);
         assert_eq!(
             resumed.without_timings(),
             full.without_timings(),
@@ -150,9 +145,9 @@ fn island_reports_are_worker_count_invariant() {
 /// cycle equal the uninterrupted run's.
 #[test]
 fn resume_does_not_re_measure() {
-    let dir = scratch_dir("billing");
+    let dir = TempDir::new("checkpoint_resume");
     let run = Run { seed: 3, islands: 2, workers: 2, adaptive: true };
-    let (full, resumed) = kill_and_resume(run, &dir, "billing", 2);
+    let (full, resumed) = kill_and_resume(run, dir.path(), "billing", 2);
     assert_eq!(resumed.measurements_performed, full.measurements_performed);
 }
 
@@ -173,10 +168,10 @@ proptest! {
         adaptive in 0u32..2,
     ) {
         let adaptive = adaptive == 1;
-        let dir = scratch_dir("fuzz");
+        let dir = TempDir::new("checkpoint_resume");
         let run = Run { seed, islands, workers: 2, adaptive };
         let tag = format!("s{seed}_h{halt_after}_i{islands}_{adaptive}");
-        let (full, resumed) = kill_and_resume(run, &dir, &tag, halt_after);
+        let (full, resumed) = kill_and_resume(run, dir.path(), &tag, halt_after);
         prop_assert_eq!(resumed.without_timings(), full.without_timings());
     }
 }
@@ -216,7 +211,7 @@ fn golden_checkpoint_v1_still_decodes() {
 /// uninterrupted run with its recorded parameters.
 #[test]
 fn golden_checkpoint_v1_still_resumes() {
-    let dir = scratch_dir("golden_resume");
+    let dir = TempDir::new("checkpoint_resume");
     let ck = dir.join("golden_live.json");
     // Copy the fixture so the resumed run's own checkpoints don't
     // overwrite the committed artifact.
@@ -233,7 +228,7 @@ fn golden_checkpoint_v1_still_resumes() {
 #[test]
 #[ignore = "writes the committed golden fixture; run by hand after intentional format changes"]
 fn regenerate_golden_checkpoint_fixture() {
-    let dir = scratch_dir("golden_regen");
+    let dir = TempDir::new("checkpoint_resume");
     let ck = dir.join("ck.json");
     let _ = run_session(GOLDEN, Some((&ck, 1, 2)), None);
     let mut cp = SessionCheckpoint::load(&ck).expect("halted run wrote a checkpoint");

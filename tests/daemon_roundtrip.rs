@@ -4,28 +4,29 @@
 //! concurrently, how the coalescer windows the traffic, or whether a
 //! hot reload lands mid-stream on another connection.
 
+mod support;
+
 use proptest::prelude::*;
 use pmevo::machine::platforms;
 use pmevo::serve::{store_from_specs, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::Duration;
+use support::TempDir;
 
-/// Writes the TINY ground-truth mapping as an artifact and returns its
-/// path — the same file format `pmevo-cli infer --out` produces.
-fn tiny_artifact(file: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("pmevo_daemon_roundtrip");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(file);
-    std::fs::write(&path, platforms::tiny().ground_truth().to_json_pretty())
-        .expect("write artifact");
-    path
+/// The TINY ground-truth mapping as an artifact — the same file format
+/// `pmevo-cli infer --out` produces.
+fn tiny_json() -> String {
+    platforms::tiny().ground_truth().to_json_pretty()
 }
 
-fn start_daemon() -> (Server, SocketAddr, PathBuf) {
-    let artifact = tiny_artifact("tiny.json");
+/// Starts a daemon serving `TINY=<dir>/tiny.json`. The returned
+/// directory is the test's own and holds the artifact.
+fn start_daemon() -> (Server, SocketAddr, TempDir) {
+    let dir = TempDir::new("daemon_roundtrip");
+    let artifact = dir.write("tiny.json", tiny_json());
     let store = store_from_specs(&[format!("TINY={}", artifact.display())], None)
         .expect("ground-truth artifact loads");
     let config = ServeConfig {
@@ -39,7 +40,7 @@ fn start_daemon() -> (Server, SocketAddr, PathBuf) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
     server.listen_tcp(listener);
-    (server, addr, artifact)
+    (server, addr, dir)
 }
 
 /// One client session: send every line, half-close, read to EOF.
@@ -127,7 +128,8 @@ proptest! {
             2..4,
         )
     ) {
-        let (server, addr, artifact) = start_daemon();
+        let (server, addr, dir) = start_daemon();
+        let artifact = dir.join("tiny.json");
         let clients: Vec<_> = scripts
             .iter()
             .map(|lines| {
@@ -157,7 +159,7 @@ proptest! {
 /// counted before its stats record is built.
 #[test]
 fn stats_windows_split_hits_and_misses() {
-    let (server, addr, _artifact) = start_daemon();
+    let (server, addr, _dir) = start_daemon();
     let lines: String = (1..=5).map(|n| format!("add_r64_r64_r64 x{n}\n")).collect();
     let first = via_daemon(addr, &format!("{lines}!stats\n"));
     let stats1 = first.lines().last().expect("stats record");
@@ -184,7 +186,7 @@ fn stats_windows_split_hits_and_misses() {
 /// every prediction of the preceding lines before answering.
 #[test]
 fn mappings_verb_lists_versions_and_query_counts() {
-    let (server, addr, artifact) = start_daemon();
+    let (server, addr, dir) = start_daemon();
 
     let empty = via_daemon(addr, "!mappings\n");
     let record = empty.trim_end();
@@ -204,7 +206,7 @@ fn mappings_verb_lists_versions_and_query_counts() {
 
     // After a hot reload both versions are listed; only the new one
     // takes subsequent (unprefixed) traffic.
-    let v2 = tiny_artifact("tiny_mappings_v2.json");
+    let v2 = dir.write("tiny_mappings_v2.json", tiny_json());
     let reload = via_daemon(
         addr,
         &format!("!reload TINY={}\nadd_r64_r64_r64 x2\n!mappings\n", v2.display()),
@@ -218,7 +220,7 @@ fn mappings_verb_lists_versions_and_query_counts() {
 
     server.stop();
     server.join();
-    drop(artifact);
+    drop(dir);
 }
 
 /// A hot reload on one connection must not disturb another client's
@@ -226,8 +228,8 @@ fn mappings_verb_lists_versions_and_query_counts() {
 /// line, all referencing a valid mapping version, in input order.
 #[test]
 fn reload_mid_stream_leaves_other_clients_consistent() {
-    let (server, addr, _artifact) = start_daemon();
-    let v2 = tiny_artifact("tiny_v2.json");
+    let (server, addr, dir) = start_daemon();
+    let v2 = dir.write("tiny_v2.json", tiny_json());
 
     let streamer = std::thread::spawn(move || {
         let mut stream = TcpStream::connect(addr).expect("connect");
