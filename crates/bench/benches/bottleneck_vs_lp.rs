@@ -1,11 +1,11 @@
 //! Criterion bench behind Figure 8: the bottleneck simulation algorithm
-//! (fast zeta-transform variant and naive rescan variant) against the
+//! (a reused `ThroughputSolver` and the naive rescan oracle) against the
 //! simplex LP solver, across port counts and experiment lengths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pmevo_bench::sample_experiments;
-use pmevo_core::bottleneck::{lp_throughput, throughput_fast, throughput_naive, MassVector};
-use pmevo_core::ThreeLevelMapping;
+use pmevo_core::bottleneck::{lp_throughput, throughput_naive, MassVector};
+use pmevo_core::{ThreeLevelMapping, ThroughputSolver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -27,9 +27,10 @@ fn bench_ports(c: &mut Criterion) {
     for ports in [4usize, 6, 8, 10, 12, 14] {
         let inputs = mass_vectors(ports, 4, 16, ports as u64);
         group.bench_with_input(BenchmarkId::new("bottleneck_fast", ports), &inputs, |b, mv| {
+            let mut solver = ThroughputSolver::new();
             b.iter(|| {
                 for m in mv {
-                    black_box(throughput_fast(m));
+                    black_box(solver.throughput(m));
                 }
             })
         });
@@ -56,9 +57,10 @@ fn bench_lengths(c: &mut Criterion) {
     for len in [1u32, 2, 4, 6, 8, 10] {
         let inputs = mass_vectors(10, len, 16, 100 + u64::from(len));
         group.bench_with_input(BenchmarkId::new("bottleneck_fast", len), &inputs, |b, mv| {
+            let mut solver = ThroughputSolver::new();
             b.iter(|| {
                 for m in mv {
-                    black_box(throughput_fast(m));
+                    black_box(solver.throughput(m));
                 }
             })
         });

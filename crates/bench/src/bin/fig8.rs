@@ -11,8 +11,8 @@
 //!         [--mappings 8] [--experiments 32] [--max-ports 20] [--seed 8]`
 
 use pmevo_bench::{artifact_dir, sample_experiments, Args};
-use pmevo_core::bottleneck::{lp_throughput, throughput_fast};
-use pmevo_core::{Experiment, ThreeLevelMapping};
+use pmevo_core::bottleneck::lp_throughput;
+use pmevo_core::{Experiment, ThreeLevelMapping, ThroughputSolver};
 use pmevo_stats::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,10 +61,11 @@ fn run_config(
 
     let mut bn_times = Vec::new();
     let mut lp_times = Vec::new();
+    let mut solver = ThroughputSolver::new();
     for m in &mappings {
         for e in &experiments {
             let masses = m.uop_masses(e);
-            bn_times.push(time_per_call(|| throughput_fast(&masses), 0.5, 1000));
+            bn_times.push(time_per_call(|| solver.throughput(&masses), 0.5, 1000));
             lp_times.push(time_per_call(|| lp_throughput(&masses), 0.5, 200));
         }
     }

@@ -364,8 +364,13 @@ pub fn selected_algorithm(
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/mod.rs"]
+mod test_support;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::TempDir;
     use pmevo_machine::platforms;
 
     #[test]
@@ -423,8 +428,7 @@ mod tests {
     #[test]
     fn mapping_cache_roundtrip() {
         let p = platforms::a72();
-        let dir = std::env::temp_dir().join("pmevo-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("bench");
         let path = dir.join("m.json");
         save_mapping(&path, p.ground_truth());
         let m = load_mapping(&path, &p).expect("roundtrip");

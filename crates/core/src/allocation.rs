@@ -13,7 +13,7 @@
 //! enumeration as the throughput, the allocation from the simplex
 //! solution of the LP.
 
-use crate::bottleneck_impl::{compact_for_allocation, MassVector};
+use crate::bottleneck_impl::{compact, MassVector};
 use crate::{PortSet, MAX_PORTS};
 use pmevo_lp::{Problem, Relation};
 
@@ -40,12 +40,13 @@ pub struct Bottleneck {
 /// Panics if more than [`crate::bottleneck::MAX_ENUMERABLE_PORTS`]
 /// ports are live.
 pub fn bottleneck_set(masses: &MassVector) -> Option<Bottleneck> {
-    let live = masses.live_ports();
+    let mut compacted = Vec::new();
+    let live = compact(masses, &mut compacted);
     let k = live.len();
     if k == 0 {
         return None;
     }
-    let (compacted, dense_to_global) = compact_for_allocation(masses, live);
+    let dense_to_global: Vec<usize> = live.iter().collect();
     let size = 1usize << k;
     let mut sum = vec![0.0f64; size];
     for &(mask, mass) in &compacted {
@@ -257,7 +258,7 @@ mod tests {
 
     #[test]
     fn bottleneck_throughput_matches_fast_engine() {
-        use crate::bottleneck_impl::throughput_fast;
+        let mut solver = crate::ThroughputSolver::new();
         let cases: Vec<MassVector> = vec![
             example1(),
             [(ps(&[0, 3]), 2.5), (ps(&[1, 3]), 0.5), (ps(&[0, 1]), 1.5)]
@@ -267,7 +268,7 @@ mod tests {
         ];
         for mv in cases {
             let b = bottleneck_set(&mv).unwrap();
-            assert!((b.throughput - throughput_fast(&mv)).abs() < 1e-9);
+            assert!((b.throughput - solver.throughput(&mv)).abs() < 1e-9);
             let a = optimal_allocation(&mv).unwrap();
             assert!((a.throughput - b.throughput).abs() < 1e-7);
         }

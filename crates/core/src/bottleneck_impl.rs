@@ -14,15 +14,18 @@
 //!           (Σ { e(u) | Ports(u) ⊆ Q }) / |Q|
 //! ```
 //!
-//! [`throughput_fast`] aggregates masses per port-subset and then either
-//! enumerates only the *unions* of µop port sets (`Θ(d · 2^d)` for `d`
-//! distinct µops — the optimal bottleneck set is always such a union) or
-//! falls back to a subset-sum (zeta) transform over the live ports
-//! (`Θ(|P| · 2^|P|)` independent of the number of µops);
-//! [`throughput_naive`] re-scans all µops for every
-//! subset (`Θ(2^|P|) · |µops|`) and exists as the ablation baseline;
-//! [`lp_throughput`] solves the linear program with the simplex solver and
-//! is the reference for correctness tests and the Figure 8 comparison.
+//! [`ThroughputSolver`](crate::ThroughputSolver) is the single entry
+//! point into the kernel: it aggregates masses per port subset and then
+//! picks the cheapest exact strategy — enumerating only the *unions* of
+//! µop port sets (`Θ(d · 2^d)` for `d` distinct µops — the optimal
+//! bottleneck set is always such a union), a superset scatter, or a
+//! subset-sum (zeta) transform over the live ports (`Θ(|P| · 2^|P|)`
+//! independent of the number of µops). The two public functions here are
+//! oracles only: [`throughput_naive`] re-scans all µops for every subset
+//! (`Θ(2^|P|) · |µops|`) and exists as the ablation baseline;
+//! [`lp_throughput`] solves the linear program with the simplex solver
+//! and is the reference for correctness tests and the Figure 8
+//! comparison.
 
 use crate::{PortSet, MAX_PORTS};
 use pmevo_lp::{Problem, Relation};
@@ -45,15 +48,15 @@ pub const MAX_ENUMERABLE_PORTS: usize = 26;
 /// # Example
 ///
 /// ```
-/// use pmevo_core::bottleneck::{throughput_fast, MassVector};
-/// use pmevo_core::PortSet;
+/// use pmevo_core::bottleneck::MassVector;
+/// use pmevo_core::{PortSet, ThroughputSolver};
 ///
 /// let mut mv = MassVector::new();
 /// mv.add(PortSet::from_ports(&[0, 1]), 2.0);
 /// mv.add(PortSet::from_ports(&[0]), 1.0);
 /// mv.add(PortSet::from_ports(&[0, 1]), 1.0); // merges with the first add
 /// assert_eq!(mv.len(), 2);
-/// assert_eq!(throughput_fast(&mv), 2.0);
+/// assert_eq!(ThroughputSolver::new().throughput(&mv), 2.0);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MassVector {
@@ -146,35 +149,38 @@ impl FromIterator<(PortSet, f64)> for MassVector {
     }
 }
 
-/// Like [`compact`], but also returns the dense-index → global-port
-/// table, for callers that must translate results back (the bottleneck
-/// set extraction in [`crate::allocation`]).
-pub(crate) fn compact_for_allocation(
-    masses: &MassVector,
-    live: PortSet,
-) -> (Vec<(u32, f64)>, Vec<usize>) {
-    let dense_to_global: Vec<usize> = live.iter().collect();
-    (compact(masses, live), dense_to_global)
-}
-
-/// Compacts the ports of `live` to dense indices and returns, for each
-/// µop, its compacted mask alongside its mass.
-fn compact(masses: &MassVector, live: PortSet) -> Vec<(u32, f64)> {
+/// Compacts `masses` onto its live ports — dense index `i` is the `i`-th
+/// live port in ascending order — writing each µop's compacted mask and
+/// mass into `entries` (cleared first) and returning the live ports.
+/// Compaction is monotone, so the masks ascend like the vector's port
+/// sets. The one compaction behind the solver's [`MassVector`] path,
+/// [`throughput_naive`] and [`crate::allocation`].
+///
+/// # Panics
+///
+/// Panics if more than [`MAX_ENUMERABLE_PORTS`] ports are live.
+pub(crate) fn compact(masses: &MassVector, entries: &mut Vec<(u32, f64)>) -> PortSet {
+    let live = masses.live_ports();
+    let k = live.len();
+    assert!(
+        k <= MAX_ENUMERABLE_PORTS,
+        "{k} live ports exceed the subset-enumeration limit ({MAX_ENUMERABLE_PORTS}); \
+         use lp_throughput instead"
+    );
     // position[p] = dense index of global port p
     let mut position = [0u8; MAX_PORTS];
     for (dense, p) in live.iter().enumerate() {
         position[p] = dense as u8;
     }
-    masses
-        .iter()
-        .map(|(ports, mass)| {
-            let mut mask = 0u32;
-            for p in ports.iter() {
-                mask |= 1 << position[p];
-            }
-            (mask, mass)
-        })
-        .collect()
+    entries.clear();
+    entries.extend(masses.iter().map(|(ports, mass)| {
+        let mut mask = 0u32;
+        for p in ports.iter() {
+            mask |= 1 << position[p];
+        }
+        (mask, mass)
+    }));
+    live
 }
 
 /// The exact scalar strategies of the bottleneck kernel. The batch path
@@ -272,19 +278,7 @@ pub(crate) fn kernel_with_strategy(
     zeta_and_max(sum, k)
 }
 
-/// Computes Equation 1 from compacted, distinct, ascending
-/// `(mask, mass)` entries over `k` live ports, with the cheapest exact
-/// strategy per [`choose_strategy`].
-pub(crate) fn kernel_from_compacted(
-    entries: &[(u32, f64)],
-    k: usize,
-    sum: &mut Vec<f64>,
-    unions: &mut Vec<u32>,
-) -> f64 {
-    kernel_with_strategy(choose_strategy(entries, k), entries, k, sum, unions)
-}
-
-/// The union-closure strategy of [`kernel_from_compacted`]: for every
+/// The union-closure strategy of [`kernel_with_strategy`]: for every
 /// subset `S` of the distinct µops, form `U = ⋃_{i ∈ S} mask_i`
 /// (incrementally, via the subset's lowest member) and score the mass
 /// contained in `U`. Division is deferred to one per subset *size* as in
@@ -430,92 +424,19 @@ fn best_quotient(best_by_size: &[f64], k: usize) -> f64 {
     best
 }
 
-/// Computes `t*_m(e)` with the bottleneck simulation algorithm: mass
-/// aggregation followed by either union-closure enumeration or the
-/// subset-sum transform (see `kernel_from_compacted` for the strategy
-/// choice — both are exact).
-///
-/// Only the *live* ports (those usable by at least one µop with positive
-/// mass) are enumerated; dead ports can never belong to a bottleneck set
-/// `Q*` because removing them from `Q` only increases the quotient of
-/// Equation 1.
-///
-/// Allocates fresh scratch per call; the evolutionary hot loop uses
-/// [`crate::ThroughputSolver`], which reuses its buffers across calls and
-/// returns bit-identical results (same kernel, same compacted input).
-///
-/// Returns `0.0` for an empty experiment.
-///
-/// # Panics
-///
-/// Panics if more than [`MAX_ENUMERABLE_PORTS`] ports are live.
-pub fn throughput_fast(masses: &MassVector) -> f64 {
-    let mut entries = Vec::new();
-    let mut sum = Vec::new();
-    let mut unions = Vec::new();
-    masses_kernel(masses, &mut entries, &mut sum, &mut unions)
-}
-
-/// Compacts a (sorted, duplicate-free) [`MassVector`] over its live ports
-/// and runs [`kernel_from_compacted`] — the single compaction shared by
-/// [`throughput_fast`] (fresh scratch) and the ad-hoc paths of
-/// [`crate::ThroughputSolver`] (reused scratch), so their bit-identity
-/// cannot drift.
-///
-/// # Panics
-///
-/// Panics if more than [`MAX_ENUMERABLE_PORTS`] ports are live.
-pub(crate) fn masses_kernel(
-    masses: &MassVector,
-    entries: &mut Vec<(u32, f64)>,
-    sum: &mut Vec<f64>,
-    unions: &mut Vec<u32>,
-) -> f64 {
-    let live = masses.live_ports();
-    let k = live.len();
-    if k == 0 {
-        return 0.0;
-    }
-    assert!(
-        k <= MAX_ENUMERABLE_PORTS,
-        "{k} live ports exceed the subset-enumeration limit ({MAX_ENUMERABLE_PORTS}); \
-         use lp_throughput instead"
-    );
-    let mut position = [0u8; MAX_PORTS];
-    for (dense, p) in live.iter().enumerate() {
-        position[p] = dense as u8;
-    }
-    entries.clear();
-    for (ports, mass) in masses.iter() {
-        let mut mask = 0u32;
-        for p in ports.iter() {
-            mask |= 1 << position[p];
-        }
-        entries.push((mask, mass));
-    }
-    kernel_from_compacted(entries, k, sum, unions)
-}
-
 /// Computes `t*_m(e)` by direct enumeration: for every non-empty subset of
 /// live ports, all µops are scanned to accumulate the contained mass.
 ///
 /// This is the textbook reading of Equation 1 and serves as the ablation
-/// baseline for [`throughput_fast`]; both return identical values.
+/// baseline and oracle for [`ThroughputSolver`](crate::ThroughputSolver);
+/// both return the same values.
 ///
 /// # Panics
 ///
 /// Panics if more than [`MAX_ENUMERABLE_PORTS`] ports are live.
 pub fn throughput_naive(masses: &MassVector) -> f64 {
-    let live = masses.live_ports();
-    let k = live.len();
-    if k == 0 {
-        return 0.0;
-    }
-    assert!(
-        k <= MAX_ENUMERABLE_PORTS,
-        "{k} live ports exceed the subset-enumeration limit ({MAX_ENUMERABLE_PORTS})"
-    );
-    let compacted = compact(masses, live);
+    let mut compacted = Vec::new();
+    let k = compact(masses, &mut compacted).len();
     let mut best = 0.0f64;
     for q in 1u32..(1u32 << k) {
         let mut s = 0.0;
@@ -606,6 +527,11 @@ mod tests {
         PortSet::from_ports(ports)
     }
 
+    /// The kernel through its one entry point, fresh scratch per call.
+    fn solve(mv: &MassVector) -> f64 {
+        crate::ThroughputSolver::new().throughput(mv)
+    }
+
     fn example1() -> MassVector {
         // Figure 2 / Example 1: {add↦2, mul↦1, store↦1}
         let mut mv = MassVector::new();
@@ -674,7 +600,7 @@ mod tests {
     #[test]
     fn example1_throughput_is_1_5_in_all_engines() {
         let mv = example1();
-        assert!((throughput_fast(&mv) - 1.5).abs() < 1e-12);
+        assert!((solve(&mv) - 1.5).abs() < 1e-12);
         assert!((throughput_naive(&mv) - 1.5).abs() < 1e-12);
         assert!((lp_throughput(&mv) - 1.5).abs() < 1e-9);
     }
@@ -682,7 +608,7 @@ mod tests {
     #[test]
     fn empty_experiment_has_zero_throughput() {
         let mv = MassVector::new();
-        assert_eq!(throughput_fast(&mv), 0.0);
+        assert_eq!(solve(&mv), 0.0);
         assert_eq!(throughput_naive(&mv), 0.0);
         assert_eq!(lp_throughput(&mv), 0.0);
     }
@@ -691,7 +617,7 @@ mod tests {
     fn single_uop_single_port() {
         let mut mv = MassVector::new();
         mv.add(ps(&[3]), 4.0);
-        assert_eq!(throughput_fast(&mv), 4.0);
+        assert_eq!(solve(&mv), 4.0);
         assert_eq!(throughput_naive(&mv), 4.0);
         assert!((lp_throughput(&mv) - 4.0).abs() < 1e-9);
     }
@@ -700,7 +626,7 @@ mod tests {
     fn mass_spreads_over_wide_uop() {
         let mut mv = MassVector::new();
         mv.add(ps(&[0, 1, 2, 3]), 4.0);
-        assert_eq!(throughput_fast(&mv), 1.0);
+        assert_eq!(solve(&mv), 1.0);
     }
 
     #[test]
@@ -708,7 +634,7 @@ mod tests {
         let mut mv = MassVector::new();
         mv.add(ps(&[0]), 2.0);
         mv.add(ps(&[1]), 3.0);
-        assert_eq!(throughput_fast(&mv), 3.0);
+        assert_eq!(solve(&mv), 3.0);
     }
 
     #[test]
@@ -717,12 +643,12 @@ mod tests {
         let mut mv = MassVector::new();
         mv.add(ps(&[0]), 2.0);
         mv.add(ps(&[0, 1]), 2.0);
-        assert_eq!(throughput_fast(&mv), 2.0);
+        assert_eq!(solve(&mv), 2.0);
         // Make the narrow µop the constraint: Q={0} -> 3.
         let mut mv2 = MassVector::new();
         mv2.add(ps(&[0]), 3.0);
         mv2.add(ps(&[0, 1]), 1.0);
-        assert_eq!(throughput_fast(&mv2), 3.0);
+        assert_eq!(solve(&mv2), 3.0);
     }
 
     #[test]
@@ -731,7 +657,7 @@ mod tests {
         let mut mv = MassVector::new();
         mv.add(ps(&[40, 63]), 2.0);
         mv.add(ps(&[40]), 1.0);
-        assert_eq!(throughput_fast(&mv), 1.5);
+        assert_eq!(solve(&mv), 1.5);
         assert_eq!(throughput_naive(&mv), 1.5);
         assert!((lp_throughput(&mv) - 1.5).abs() < 1e-9);
     }
@@ -741,7 +667,7 @@ mod tests {
         let mut mv = MassVector::new();
         mv.add(ps(&[0, 1]), 0.5);
         mv.add(ps(&[1]), 0.25);
-        assert!((throughput_fast(&mv) - 0.375).abs() < 1e-12);
+        assert!((solve(&mv) - 0.375).abs() < 1e-12);
     }
 
     #[test]
@@ -800,7 +726,7 @@ mod tests {
                 .collect(),
         ];
         for mv in cases {
-            let f = throughput_fast(&mv);
+            let f = solve(&mv);
             let n = throughput_naive(&mv);
             let l = lp_throughput(&mv);
             assert!((f - n).abs() < 1e-12, "fast {f} != naive {n} for {mv:?}");
@@ -866,7 +792,7 @@ mod tests {
             }
             for e in &experiments {
                 let masses = m.uop_masses(e);
-                let fast = throughput_fast(&masses);
+                let fast = solve(&masses);
                 let lp = lp_throughput(&masses);
                 assert!(
                     (fast - lp).abs() < 1e-7,

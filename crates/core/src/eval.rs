@@ -1,11 +1,10 @@
 //! The compile-then-evaluate half of the fitness engine (paper §4.4–4.5).
 //!
 //! PMEvo's wall-clock budget is dominated by the inner loop
-//! `candidate mapping × experiment → t*_m(e)`. The ad-hoc path
-//! ([`ThreeLevelMapping::throughput`]) rebuilds a [`MassVector`] and
-//! allocates a fresh `2^|P|` zeta-transform buffer for every single
-//! evaluation. This module separates *compilation* from *execution* so
-//! that all of that state is built once and reused:
+//! `candidate mapping × experiment → t*_m(e)`. Rebuilding a
+//! [`MassVector`] and a fresh `2^|P|` zeta-transform buffer for every
+//! single evaluation would dominate it, so this module separates
+//! *compilation* from *execution* and builds all of that state once:
 //!
 //! * [`CompiledExperiments`] interns the instruction ids of a measured
 //!   experiment set into dense indices and stores the per-experiment
@@ -14,17 +13,24 @@
 //!   re-evaluation after a single-instruction mutation.
 //! * [`ThroughputSolver`] owns the mass-aggregation scratch and the
 //!   zeta-transform buffer, so `t*_m(e)` becomes allocation-free once the
-//!   buffers have grown to their steady-state sizes.
+//!   buffers have grown to their steady-state sizes. It is the only way
+//!   into the bottleneck kernel; `throughput_naive` and `lp_throughput`
+//!   remain as oracles.
 //!
-//! Both halves return **bit-identical** results to the naive reference
-//! path (`uop_masses` + `throughput_fast`): masses are accumulated in the
-//! same order with the same arithmetic, and the enumeration is literally
-//! the same function ([`kernel_from_compacted`]). The equivalence is
-//! enforced by unit tests here and a property test in `pmevo-evo`.
+//! The solver has two aggregation paths, kept apart on purpose. The
+//! [`MassVector`] path ([`ThroughputSolver::throughput`] and
+//! [`ThroughputSolver::mapping_throughput`], fed by
+//! [`ThreeLevelMapping::uop_masses`]) is the independent reference; the
+//! compiled path ([`ThroughputSolver::predict`] and the batch variants)
+//! aggregates straight from the loaded mapping's flat tables. Both
+//! accumulate masses in the same order with the same arithmetic and run
+//! the same strategy selection and kernels, so they return
+//! **bit-identical** results. The equivalence is enforced by unit tests
+//! here and property tests in this crate and `pmevo-evo`.
 
 use crate::bottleneck_impl::{
-    choose_strategy, kernel_from_compacted, kernel_with_strategy, masses_kernel,
-    zeta_and_max_lanes, MassVector, Strategy, LANES, MAX_ENUMERABLE_PORTS, MAX_LANE_PORTS,
+    choose_strategy, compact, kernel_with_strategy, zeta_and_max_lanes, MassVector, Strategy,
+    LANES, MAX_ENUMERABLE_PORTS, MAX_LANE_PORTS,
 };
 use crate::{Experiment, InstId, MeasuredExperiment, PortSet, ThreeLevelMapping, MAX_PORTS};
 
@@ -234,7 +240,7 @@ impl CompiledExperiments {
 /// * the kernel buffers (zeta-transform window and union table, grown to
 ///   the largest sizes seen),
 /// * the compacted `(mask, mass)` aggregation table,
-/// * a [`MassVector`] for the ad-hoc [`mapping_throughput`] path,
+/// * a [`MassVector`] for the reference [`mapping_throughput`] path,
 /// * the *loaded mapping*: the candidate's µop decompositions flattened
 ///   into dense arrays, indexed by [`CompiledExperiments`] dense
 ///   instruction indices (see [`load_mapping`]).
@@ -254,14 +260,15 @@ impl CompiledExperiments {
 /// # Example
 ///
 /// ```
-/// use pmevo_core::bottleneck::{throughput_fast, MassVector};
+/// use pmevo_core::bottleneck::{throughput_naive, MassVector};
 /// use pmevo_core::{PortSet, ThroughputSolver};
 ///
 /// let mut mv = MassVector::new();
 /// mv.add(PortSet::from_ports(&[0, 1]), 2.0);
 /// mv.add(PortSet::from_ports(&[0]), 1.0);
 /// let mut solver = ThroughputSolver::new();
-/// assert_eq!(solver.throughput(&mv), throughput_fast(&mv));
+/// assert_eq!(solver.throughput(&mv), 1.5);
+/// assert_eq!(solver.throughput(&mv), throughput_naive(&mv));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ThroughputSolver {
@@ -317,40 +324,47 @@ impl ThroughputSolver {
         ThroughputSolver::default()
     }
 
-    /// Computes `t*_m(e)` of a prepared mass vector; bit-identical to
-    /// [`throughput_fast`](crate::bottleneck::throughput_fast) but reuses
-    /// the solver's scratch buffers.
+    /// Computes `t*_m(e)` of a prepared mass vector with the bottleneck
+    /// simulation algorithm: compaction onto the live ports, then the
+    /// cheapest exact strategy. Returns `0.0` for an empty vector.
+    ///
+    /// Only the *live* ports (those usable by at least one µop with
+    /// positive mass) are enumerated; dead ports can never belong to a
+    /// bottleneck set `Q*` because removing them from `Q` only increases
+    /// the quotient of Equation 1.
     ///
     /// # Panics
     ///
     /// Panics if more than [`MAX_ENUMERABLE_PORTS`] ports are live.
     pub fn throughput(&mut self, masses: &MassVector) -> f64 {
-        masses_kernel(masses, &mut self.entries, &mut self.sum, &mut self.unions)
+        let k = compact(masses, &mut self.entries).len();
+        if k == 0 {
+            return 0.0;
+        }
+        let strategy = choose_strategy(&self.entries, k);
+        kernel_with_strategy(strategy, &self.entries, k, &mut self.sum, &mut self.unions)
     }
 
-    /// Computes `t*_m(e)` of `e` under `mapping` — the reusable-state
-    /// equivalent of [`ThreeLevelMapping::throughput`].
+    /// Computes `t*_m(e)` of `e` under `mapping`: the µop masses of
+    /// [`ThreeLevelMapping::uop_masses`], built in reused scratch, through
+    /// [`throughput`](Self::throughput).
     ///
     /// # Panics
     ///
     /// Panics if `e` references an instruction outside the mapping or
     /// more than [`MAX_ENUMERABLE_PORTS`] ports are live.
     pub fn mapping_throughput(&mut self, mapping: &ThreeLevelMapping, e: &Experiment) -> f64 {
-        self.masses.clear();
-        for (inst, n) in e.iter() {
-            for entry in mapping.decomposition(inst) {
-                self.masses
-                    .add(entry.ports, f64::from(n) * f64::from(entry.count));
-            }
-        }
-        masses_kernel(&self.masses, &mut self.entries, &mut self.sum, &mut self.unions)
+        let mut masses = std::mem::take(&mut self.masses);
+        mapping.fill_uop_masses(e, &mut masses);
+        let t = self.throughput(&masses);
+        self.masses = masses;
+        t
     }
 
     /// Flattens `mapping`'s µop decompositions into the solver's dense
     /// tables, keyed by `compiled`'s dense instruction indices.
     ///
-    /// Subsequent [`predict`](Self::predict) /
-    /// [`relative_error`](Self::relative_error) calls evaluate against the
+    /// Subsequent [`predict`](Self::predict) calls evaluate against the
     /// loaded mapping; loading again replaces it. The flattening is
     /// amortized over the experiments evaluated per candidate and reuses
     /// the table allocations across candidates.
@@ -422,9 +436,8 @@ impl ThroughputSolver {
     /// Predicts the throughput of compiled experiment `e` under the
     /// mapping loaded by [`load_mapping`](Self::load_mapping).
     ///
-    /// Bit-identical to
-    /// `mapping.throughput(&experiments[e].experiment)`, without any heap
-    /// allocation after warm-up.
+    /// Bit-identical to [`mapping_throughput`](Self::mapping_throughput)
+    /// of the same experiment, without any heap allocation after warm-up.
     ///
     /// # Panics
     ///
@@ -436,7 +449,8 @@ impl ThroughputSolver {
         if k == 0 {
             return 0.0;
         }
-        kernel_from_compacted(&self.entries, k, &mut self.sum, &mut self.unions)
+        let strategy = choose_strategy(&self.entries, k);
+        kernel_with_strategy(strategy, &self.entries, k, &mut self.sum, &mut self.unions)
     }
 
     /// Aggregates experiment `e`'s µop masses into `self.entries`
@@ -681,18 +695,6 @@ impl ThroughputSolver {
         self.batch_indices = indices;
     }
 
-    /// The relative prediction error `|t*_m(e) − t| / t` of compiled
-    /// experiment `e` under the loaded mapping.
-    ///
-    /// # Panics
-    ///
-    /// As for [`predict`](Self::predict).
-    pub fn relative_error(&mut self, compiled: &CompiledExperiments, e: usize) -> f64 {
-        let predicted = self.predict(compiled, e);
-        let t = compiled.measured(e);
-        (predicted - t).abs() / t
-    }
-
     /// Computes `D_avg(m)` over the compiled set: loads `mapping` and
     /// averages the relative errors in experiment order — bit-identical
     /// to the naive reference (`average_relative_error` in `pmevo-evo`).
@@ -719,13 +721,11 @@ impl ThroughputSolver {
         self.batch_out = preds;
         sum / n as f64
     }
-
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bottleneck_impl::throughput_fast;
     use crate::UopEntry;
 
     fn ps(ports: &[usize]) -> PortSet {
@@ -799,25 +799,46 @@ mod tests {
         )]);
     }
 
+    /// The three ways through the solver agree bitwise: `uop_masses` →
+    /// [`ThroughputSolver::throughput`], `mapping_throughput`, and the
+    /// compiled `predict` — on dead high ports and an empty
+    /// decomposition too, and with the same solver reused throughout.
     #[test]
-    fn solver_throughput_matches_throughput_fast_bitwise() {
-        let cases: Vec<MassVector> = vec![
-            [(ps(&[0, 1]), 2.0), (ps(&[0]), 1.0), (ps(&[2]), 1.0)]
-                .into_iter()
-                .collect(),
-            [(ps(&[40, 63]), 2.0), (ps(&[40]), 1.0)].into_iter().collect(),
-            [(ps(&[0, 3]), 2.5), (ps(&[1, 3]), 0.5), (ps(&[0, 1]), 1.5)]
-                .into_iter()
-                .collect(),
-            MassVector::new(),
-        ];
+    fn solver_paths_match_bitwise() {
+        let high_ports = ThreeLevelMapping::new(
+            64,
+            vec![vec![uop(2, &[40, 63])], vec![uop(1, &[40])], vec![]],
+        );
+        let skewed = ThreeLevelMapping::new(
+            4,
+            vec![vec![uop(5, &[0, 3])], vec![uop(1, &[1, 3])], vec![uop(3, &[0, 1])]],
+        );
         let mut solver = ThroughputSolver::new();
-        for mv in &cases {
-            // Twice through the same solver: buffer reuse must not change
-            // anything.
-            assert_eq!(solver.throughput(mv).to_bits(), throughput_fast(mv).to_bits());
-            assert_eq!(solver.throughput(mv).to_bits(), throughput_fast(mv).to_bits());
+        for m in [figure4_mapping(), high_ports, skewed] {
+            let n = m.num_insts() as u32;
+            let mut data = Vec::new();
+            for i in 0..n {
+                data.push(MeasuredExperiment::new(Experiment::singleton(InstId(i)), 1.0));
+                for j in (i + 1)..n {
+                    let e = Experiment::pair(InstId(i), 2, InstId(j), 1);
+                    data.push(MeasuredExperiment::new(e, 1.0));
+                }
+            }
+            let compiled = CompiledExperiments::compile(&data);
+            solver.load_mapping(&compiled, &m);
+            for (e, me) in data.iter().enumerate() {
+                let masses = m.uop_masses(&me.experiment);
+                let reference = solver.throughput(&masses);
+                // Twice through the same solver: buffer reuse must not
+                // change anything.
+                assert_eq!(solver.throughput(&masses).to_bits(), reference.to_bits());
+                let via_mapping = solver.mapping_throughput(&m, &me.experiment);
+                assert_eq!(via_mapping.to_bits(), reference.to_bits(), "{}", me.experiment);
+                let compiled_path = solver.predict(&compiled, e);
+                assert_eq!(compiled_path.to_bits(), reference.to_bits(), "{}", me.experiment);
+            }
         }
+        assert_eq!(solver.throughput(&MassVector::new()), 0.0);
     }
 
     #[test]
@@ -843,7 +864,7 @@ mod tests {
             let naive = m.throughput(&me.experiment);
             assert_eq!(fast.to_bits(), naive.to_bits(), "mismatch on {}", me.experiment);
             assert_eq!(
-                solver.relative_error(&compiled, e).to_bits(),
+                ((fast - me.throughput).abs() / me.throughput).to_bits(),
                 ((naive - me.throughput).abs() / me.throughput).to_bits()
             );
         }

@@ -10,14 +10,14 @@
 //!   µops → ports) models of paper §3.
 //! * [`Experiment`] — a multiset of instructions whose steady-state
 //!   throughput is measured or predicted (paper Definition 1).
-//! * [`bottleneck`] — the bottleneck simulation algorithm (paper §4.5,
-//!   Equation 1), an exact `Θ(2^|P|)` solver for the throughput linear
-//!   program, plus an LP-based reference implementation used for
-//!   cross-checking and for reproducing Figure 8.
-//! * [`CompiledExperiments`] / [`ThroughputSolver`] — the
-//!   compile-then-evaluate engine behind the evolutionary hot loop:
+//! * [`CompiledExperiments`] / [`ThroughputSolver`] — the bottleneck
+//!   simulation algorithm (paper §4.5, Equation 1), an exact `Θ(2^|P|)`
+//!   solver for the throughput linear program, behind one entry point:
 //!   experiments compiled once into dense flat form, throughputs computed
 //!   with reusable scratch state and zero per-evaluation allocations.
+//! * [`bottleneck`] — the solver's [`MassVector`](bottleneck::MassVector)
+//!   input plus two oracles: a naive enumeration and an LP-based
+//!   reference used for cross-checking and for reproducing Figure 8.
 //!
 //! # Example
 //!
@@ -78,10 +78,11 @@ pub use predict::{
 };
 pub use selection::{MeasurementBudget, RoundStats, SelectionPolicy};
 
-/// The bottleneck simulation algorithm and its LP reference implementation.
+/// The input of the bottleneck simulation algorithm and its oracles; the
+/// algorithm itself runs through [`ThroughputSolver`].
 pub mod bottleneck {
     pub use crate::bottleneck_impl::{
-        lp_throughput, throughput_fast, throughput_naive, MassVector, MAX_ENUMERABLE_PORTS,
+        lp_throughput, throughput_naive, MassVector, MAX_ENUMERABLE_PORTS,
     };
 }
 

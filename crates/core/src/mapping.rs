@@ -1,7 +1,7 @@
 //! Port mappings in the two-level and three-level models (paper §3).
 
-use crate::bottleneck_impl::{throughput_fast, MassVector};
-use crate::{Experiment, InstId, PortSet, MAX_PORTS};
+use crate::bottleneck_impl::MassVector;
+use crate::{Experiment, InstId, PortSet, ThroughputSolver, MAX_PORTS};
 use rand::Rng;
 
 /// One edge bundle of the three-level mapping: `count` instances of the
@@ -101,7 +101,7 @@ impl TwoLevelMapping {
         for (inst, n) in e.iter() {
             masses.add(self.ports_of(inst), f64::from(n));
         }
-        throughput_fast(&masses)
+        ThroughputSolver::new().throughput(&masses)
     }
 }
 
@@ -251,23 +251,32 @@ impl ThreeLevelMapping {
     /// Panics if `e` references an instruction outside the mapping.
     pub fn uop_masses(&self, e: &Experiment) -> MassVector {
         let mut masses = MassVector::new();
+        self.fill_uop_masses(e, &mut masses);
+        masses
+    }
+
+    /// [`uop_masses`](Self::uop_masses) into a caller-owned vector
+    /// (cleared first), so [`ThroughputSolver`] can reuse its scratch.
+    pub(crate) fn fill_uop_masses(&self, e: &Experiment, masses: &mut MassVector) {
+        masses.clear();
         for (inst, n) in e.iter() {
             for entry in self.decomposition(inst) {
                 masses.add(entry.ports, f64::from(n) * f64::from(entry.count));
             }
         }
-        masses
     }
 
     /// The optimal-scheduler throughput `t*_m(e)` under this mapping,
     /// computed by reduction to the two-level model and the bottleneck
-    /// simulation algorithm (paper §3.2 + §4.5).
+    /// simulation algorithm (paper §3.2 + §4.5). Uses a fresh
+    /// [`ThroughputSolver`]; loops should keep one and call
+    /// [`ThroughputSolver::mapping_throughput`].
     ///
     /// # Panics
     ///
     /// Panics if `e` references an instruction outside the mapping.
     pub fn throughput(&self, e: &Experiment) -> f64 {
-        throughput_fast(&self.uop_masses(e))
+        ThroughputSolver::new().mapping_throughput(self, e)
     }
 
     /// Serializes the mapping as compact JSON (`{"num_ports":…,"decomp":…}`,

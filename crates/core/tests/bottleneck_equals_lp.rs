@@ -1,11 +1,16 @@
 //! Verifies paper Appendix A: the bottleneck simulation algorithm computes
 //! exactly the optimum of the throughput linear program, for random
-//! two-level and three-level instances, and the fast (zeta-transform) and
-//! naive (rescan) variants agree bit-for-bit structure-wise.
+//! two-level and three-level instances, and the solver and the naive
+//! (rescan) oracle agree.
 
 use proptest::prelude::*;
-use pmevo_core::bottleneck::{lp_throughput, throughput_fast, throughput_naive, MassVector};
-use pmevo_core::{Experiment, InstId, PortSet, ThreeLevelMapping, UopEntry};
+use pmevo_core::bottleneck::{lp_throughput, throughput_naive, MassVector};
+use pmevo_core::{Experiment, InstId, PortSet, ThreeLevelMapping, ThroughputSolver, UopEntry};
+
+/// The bottleneck kernel through its one entry point.
+fn solve(mv: &MassVector) -> f64 {
+    ThroughputSolver::new().throughput(mv)
+}
 
 /// A random non-empty port set over `num_ports` ports.
 fn port_set(num_ports: usize) -> impl Strategy<Value = PortSet> {
@@ -57,16 +62,16 @@ proptest! {
     /// Appendix A, two-level: bottleneck == LP optimum.
     #[test]
     fn two_level_bottleneck_equals_lp(mv in mass_vector(6)) {
-        let fast = throughput_fast(&mv);
+        let fast = solve(&mv);
         let lp = lp_throughput(&mv);
         prop_assert!((fast - lp).abs() < 1e-6,
             "bottleneck {fast} != LP {lp} for {mv:?}");
     }
 
-    /// The fast (zeta) and naive (rescan) engines agree exactly.
+    /// The solver and the naive (rescan) oracle agree exactly.
     #[test]
     fn fast_equals_naive(mv in mass_vector(8)) {
-        let fast = throughput_fast(&mv);
+        let fast = solve(&mv);
         let naive = throughput_naive(&mv);
         prop_assert!((fast - naive).abs() < 1e-9,
             "fast {fast} != naive {naive} for {mv:?}");
@@ -83,7 +88,7 @@ proptest! {
     ) {
         let tp = m.throughput(&e);
         let masses = m.uop_masses(&e);
-        let via_two_level = throughput_fast(&masses);
+        let via_two_level = solve(&masses);
         prop_assert!((tp - via_two_level).abs() < 1e-12);
         let lp = lp_throughput(&masses);
         prop_assert!((tp - lp).abs() < 1e-6, "3L bottleneck {tp} != LP {lp}");
@@ -95,18 +100,18 @@ proptest! {
         mv in mass_vector(6),
         extra in (port_set(6), 0.01..5.0f64),
     ) {
-        let base = throughput_fast(&mv);
+        let base = solve(&mv);
         let mut bigger = mv.clone();
         bigger.add(extra.0, extra.1);
-        prop_assert!(throughput_fast(&bigger) >= base - 1e-12);
+        prop_assert!(solve(&bigger) >= base - 1e-12);
     }
 
     /// Scaling: throughput is positively homogeneous in the masses.
     #[test]
     fn throughput_is_homogeneous(mv in mass_vector(6), scale in 0.1..10.0f64) {
         let scaled: MassVector = mv.iter().map(|(p, m)| (p, m * scale)).collect();
-        let a = throughput_fast(&mv) * scale;
-        let b = throughput_fast(&scaled);
+        let a = solve(&mv) * scale;
+        let b = solve(&scaled);
         prop_assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()));
     }
 
@@ -114,7 +119,7 @@ proptest! {
     /// least the heaviest single µop's mass divided by its width.
     #[test]
     fn throughput_bounds(mv in mass_vector(6)) {
-        let t = throughput_fast(&mv);
+        let t = solve(&mv);
         let total = mv.total_mass();
         let live = mv.live_ports().len() as f64;
         prop_assert!(t <= total + 1e-9);

@@ -58,3 +58,7 @@ pub use store::{
     load_artifact_file, validate_mapping_name, ArtifactFormat, LoadedArtifact, MappingId,
     MappingStore, ResidencyStats, StoreError, StoredMapping, NUM_SHARDS,
 };
+
+#[cfg(test)]
+#[path = "../../../tests/support/mod.rs"]
+mod test_support;

@@ -39,6 +39,7 @@
 //! binary-searches a run of a few dozen entries instead of one big table.
 
 use crate::lru::LruCache;
+use pmevo_core::bottleneck::MAX_ENUMERABLE_PORTS;
 use pmevo_core::json::{self, Value};
 use pmevo_core::{
     parse_sequence, Experiment, InstId, MappingArtifact, MappingJsonError, SequenceParseError,
@@ -128,6 +129,15 @@ pub enum StoreError {
         /// Path of the artifact.
         path: String,
     },
+    /// The artifact's machine has more ports than the throughput solver
+    /// can enumerate ([`MAX_ENUMERABLE_PORTS`]), so queries over its
+    /// ports could not be answered.
+    TooManyPorts {
+        /// Path of the artifact.
+        path: String,
+        /// The mapping's port count.
+        num_ports: usize,
+    },
     /// The mapping name is not registrable (it would collide with the
     /// `name@version` / `NAME=file` grammars).
     BadName {
@@ -161,6 +171,11 @@ impl fmt::Display for StoreError {
                 f,
                 "JSON artifact {path} carries no instruction names; register it \
                  via a platform or convert it to the binary format"
+            ),
+            StoreError::TooManyPorts { path, num_ports } => write!(
+                f,
+                "mapping artifact {path} has {num_ports} ports, beyond the \
+                 throughput solver's limit of {MAX_ENUMERABLE_PORTS}"
             ),
             StoreError::BadName { name, why } => {
                 write!(f, "invalid mapping name {name:?}: {why}")
@@ -236,6 +251,10 @@ pub struct LoadedArtifact {
 /// universe (platform registries, reload paths) catch a swapped file at
 /// load time instead of at first mis-resolved query.
 ///
+/// Every load is also checked against the solver's capacity: a mapping
+/// with more than [`MAX_ENUMERABLE_PORTS`] ports is refused here, at the
+/// boundary, rather than panicking inside the kernel on its first query.
+///
 /// # Errors
 ///
 /// See [`StoreError`]; every variant names `path`.
@@ -244,7 +263,7 @@ pub fn load_artifact_file(
     json_names: Option<&[String]>,
 ) -> Result<LoadedArtifact, StoreError> {
     let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, &e))?;
-    if MappingArtifact::sniff(&bytes) {
+    let loaded = if MappingArtifact::sniff(&bytes) {
         let artifact = MappingArtifact::from_bytes(&bytes)
             .map_err(|e| StoreError::Decode { path: path.to_owned(), what: e.to_string() })?;
         let (inst_names, mapping) = artifact.into_parts();
@@ -254,7 +273,7 @@ pub fn load_artifact_file(
                 return Err(StoreError::NameTableMismatch { path: path.to_owned(), what });
             }
         }
-        Ok(LoadedArtifact { inst_names, mapping, format: ArtifactFormat::Bin, path: path.into() })
+        LoadedArtifact { inst_names, mapping, format: ArtifactFormat::Bin, path: path.into() }
     } else {
         let text = std::str::from_utf8(&bytes).map_err(|_| StoreError::Decode {
             path: path.to_owned(),
@@ -275,8 +294,13 @@ pub fn load_artifact_file(
                 ),
             });
         }
-        Ok(LoadedArtifact { inst_names, mapping, format: ArtifactFormat::Json, path: path.into() })
+        LoadedArtifact { inst_names, mapping, format: ArtifactFormat::Json, path: path.into() }
+    };
+    let num_ports = loaded.mapping.num_ports();
+    if num_ports > MAX_ENUMERABLE_PORTS {
+        return Err(StoreError::TooManyPorts { path: loaded.path, num_ports });
     }
+    Ok(loaded)
 }
 
 /// First point of disagreement between two name tables, for error text.
@@ -989,6 +1013,7 @@ impl MappingStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::TempDir;
     use pmevo_core::{PortSet, UopEntry};
 
     fn mapping(num_ports: usize, ports: &[&[usize]]) -> ThreeLevelMapping {
@@ -1005,14 +1030,10 @@ mod tests {
         (0..n).map(|i| format!("inst_{i}")).collect()
     }
 
-    /// Writes a binary artifact into the test scratch dir.
-    fn scratch_bin(file: &str, names: &[String], m: &ThreeLevelMapping) -> String {
-        let dir = std::env::temp_dir().join("pmevo_store_tests");
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let path = dir.join(file);
+    /// Writes a binary artifact into the test's scratch dir.
+    fn scratch_bin(dir: &TempDir, file: &str, names: &[String], m: &ThreeLevelMapping) -> String {
         let artifact = MappingArtifact::new(names.to_vec(), m.clone());
-        std::fs::write(&path, artifact.to_bytes()).expect("write artifact");
-        path.to_str().unwrap().to_owned()
+        dir.write(file, artifact.to_bytes()).to_str().unwrap().to_owned()
     }
 
     #[test]
@@ -1144,11 +1165,9 @@ mod tests {
     #[test]
     fn file_registration_sniffs_both_formats() {
         let m = mapping(2, &[&[0], &[1]]);
-        let dir = std::env::temp_dir().join("pmevo_store_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let json_path = dir.join("fmt.json");
-        std::fs::write(&json_path, m.to_json_pretty()).unwrap();
-        let bin_path = scratch_bin("fmt.bin", &names(2), &m);
+        let dir = TempDir::new("store_tests");
+        let json_path = dir.write("fmt.json", m.to_json_pretty());
+        let bin_path = scratch_bin(&dir, "fmt.bin", &names(2), &m);
 
         let mut store = MappingStore::new();
         let jn = names(2);
@@ -1175,7 +1194,8 @@ mod tests {
     #[test]
     fn failed_file_registration_leaves_the_store_untouched() {
         let m = mapping(1, &[&[0]]);
-        let bin = scratch_bin("atomic_v1.bin", &names(1), &m);
+        let dir = TempDir::new("store_tests");
+        let bin = scratch_bin(&dir, "atomic_v1.bin", &names(1), &m);
         let mut store = MappingStore::new();
         store.insert_from_file("A", &bin, None).unwrap();
         let len = store.len();
@@ -1184,15 +1204,12 @@ mod tests {
         // Unreadable path, bad name, corrupt artifact, name mismatch:
         // none of them may insert an entry or burn a version.
         let other: Vec<String> = vec!["different".into()];
-        let wrong_names = scratch_bin("atomic_other.bin", &other, &m);
+        let wrong_names = scratch_bin(&dir, "atomic_other.bin", &other, &m);
         let corrupt = {
-            let dir = std::env::temp_dir().join("pmevo_store_tests");
-            let p = dir.join("atomic_corrupt.bin");
             let mut bytes = MappingArtifact::new(names(1), m.clone()).to_bytes();
             let last = bytes.len() - 1;
             bytes[last] ^= 0xff;
-            std::fs::write(&p, bytes).unwrap();
-            p.to_str().unwrap().to_owned()
+            dir.write("atomic_corrupt.bin", bytes).to_str().unwrap().to_owned()
         };
         let attempts = [
             store.insert_from_file("A", "/no/such/file.bin", None).unwrap_err(),
@@ -1213,11 +1230,33 @@ mod tests {
     }
 
     #[test]
+    fn mappings_beyond_the_enumerable_port_limit_are_refused() {
+        let dir = TempDir::new("store_tests");
+        let wide = |num_ports| {
+            let uop = UopEntry::new(1, PortSet::first_n(num_ports));
+            ThreeLevelMapping::new(num_ports, vec![vec![uop]])
+        };
+        let mut store = MappingStore::new();
+        // The limit itself still loads.
+        let at_limit = scratch_bin(&dir, "wide_26.bin", &names(1), &wide(MAX_ENUMERABLE_PORTS));
+        store.insert_from_file("W", &at_limit, None).expect("26 ports are servable");
+        // 30 ports decode but are refused with a named error, and the
+        // store stays untouched.
+        let beyond = scratch_bin(&dir, "wide_30.bin", &names(1), &wide(30));
+        let err = store.insert_from_file("W", &beyond, None).unwrap_err();
+        assert_eq!(err, StoreError::TooManyPorts { path: beyond.clone(), num_ports: 30 });
+        assert!(err.to_string().contains("limit of 26"), "{err}");
+        assert_eq!(load_artifact_file(&beyond, None).unwrap_err(), err);
+        assert_eq!(store.len(), 1);
+    }
+
+    #[test]
     fn budgeted_store_evicts_lru_and_reloads_lazily() {
         let m = mapping(2, &[&[0], &[1], &[0, 1]]);
         let n = names(3);
+        let dir = TempDir::new("store_tests");
         let paths: Vec<String> =
-            (0..4).map(|i| scratch_bin(&format!("evict_{i}.bin"), &n, &m)).collect();
+            (0..4).map(|i| scratch_bin(&dir, &format!("evict_{i}.bin"), &n, &m)).collect();
         let cost = payload_cost(&m);
         // Room for two payloads.
         let mut store = MappingStore::with_budget(Some(2 * cost));
@@ -1253,13 +1292,14 @@ mod tests {
     #[test]
     fn reload_failures_name_the_path_and_heal_on_retry() {
         let m = mapping(1, &[&[0]]);
-        let path = scratch_bin("heal.bin", &names(1), &m);
+        let dir = TempDir::new("store_tests");
+        let path = scratch_bin(&dir, "heal.bin", &names(1), &m);
         let mut store = MappingStore::with_budget(Some(0));
         let id = store.insert_from_file("H", &path, None).unwrap();
         // Budget 0: nothing stays resident except while in use — the
         // admit-time eviction pass spares only the current entry when it
         // is the sole one... which it is, so evict by inserting another.
-        let other = scratch_bin("heal_other.bin", &names(1), &m);
+        let other = scratch_bin(&dir, "heal_other.bin", &names(1), &m);
         store.insert_from_file("H2", &other, None).unwrap();
         assert!(!store.get(id).is_resident());
 
@@ -1277,7 +1317,8 @@ mod tests {
         let m = mapping(1, &[&[0]]);
         let mut store = MappingStore::with_budget(Some(1)); // absurdly small
         let pinned = store.insert("mem", names(1), m.clone());
-        let path = scratch_bin("pin_other.bin", &names(1), &m);
+        let dir = TempDir::new("store_tests");
+        let path = scratch_bin(&dir, "pin_other.bin", &names(1), &m);
         let filed = store.insert_from_file("file", &path, None).unwrap();
         let _ = store.get(filed).mapping().unwrap();
         // The in-memory entry survives any budget pressure.

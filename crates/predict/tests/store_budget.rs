@@ -5,9 +5,13 @@
 //! worker count — the budget buys memory with reload latency, never
 //! with answers.
 
+#[path = "../../../tests/support/mod.rs"]
+mod support;
+
 use pmevo_core::{Experiment, InstId, MappingArtifact, PortSet, ThreeLevelMapping, UopEntry};
 use pmevo_predict::{MappingId, MappingStore, Predictor, PredictorConfig};
 use std::path::PathBuf;
+use support::TempDir;
 
 const NAMES: usize = 40;
 const VERSIONS: usize = 25;
@@ -61,20 +65,16 @@ fn fleet_mapping(name_idx: usize, version: usize) -> ThreeLevelMapping {
     ThreeLevelMapping::new(num_ports, decomp)
 }
 
-/// Writes the full 1000-artifact fleet to disk, returning
+/// Writes the full 1000-artifact fleet into `dir`, returning
 /// `paths[name_idx][version_idx]`.
-fn write_fleet() -> Vec<Vec<PathBuf>> {
-    let dir = std::env::temp_dir().join("pmevo_store_budget_test");
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+fn write_fleet(dir: &TempDir) -> Vec<Vec<PathBuf>> {
     (0..NAMES)
         .map(|n| {
             (0..VERSIONS)
                 .map(|v| {
-                    let path = dir.join(format!("n{n}_v{v}.bin"));
                     let artifact =
                         MappingArtifact::new(fleet_names(n), fleet_mapping(n, v));
-                    std::fs::write(&path, artifact.to_bytes()).expect("write artifact");
-                    path
+                    dir.write(&format!("n{n}_v{v}.bin"), artifact.to_bytes())
                 })
                 .collect()
         })
@@ -124,7 +124,8 @@ fn answer(store: MappingStore, workers: usize, queries: &[(MappingId, Experiment
 
 #[test]
 fn thousand_mapping_store_under_budget_answers_bit_identically() {
-    let paths = write_fleet();
+    let dir = TempDir::new("store_budget");
+    let paths = write_fleet(&dir);
 
     let reference_store = build_store(&paths, None);
     assert_eq!(reference_store.len(), NAMES * VERSIONS);

@@ -51,3 +51,7 @@ mod specs;
 
 pub use server::{Server, ServeConfig};
 pub use specs::{load_spec_artifact, route_line, store_from_specs};
+
+#[cfg(test)]
+#[path = "../../../tests/support/mod.rs"]
+mod test_support;

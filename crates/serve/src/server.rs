@@ -812,6 +812,8 @@ fn stats_record(shared: &Shared, line: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::TempDir;
+    use pmevo_core::{MappingArtifact, PortSet, ThreeLevelMapping, UopEntry};
     use pmevo_machine::platforms;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
@@ -935,10 +937,8 @@ mod tests {
 
     #[test]
     fn reload_swaps_routing_mid_stream_and_drains_cleanly() {
-        let dir = std::env::temp_dir().join("pmevo_serve_reload_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let artifact = dir.join("tiny_v2.json");
-        std::fs::write(&artifact, platforms::tiny().ground_truth().to_json_pretty()).unwrap();
+        let dir = TempDir::new("serve_reload");
+        let artifact = dir.write("tiny_v2.json", platforms::tiny().ground_truth().to_json_pretty());
 
         let (server, addr) = start_tcp(tiny_store());
         let responses = roundtrip(
@@ -982,11 +982,9 @@ mod tests {
 
     #[test]
     fn failed_reloads_are_atomic_and_name_the_path() {
-        let dir = std::env::temp_dir().join("pmevo_serve_reload_atomic_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let garbage = dir.join("garbage.bin");
+        let dir = TempDir::new("serve_reload_atomic");
         // Sniffs as a binary artifact, then fails to decode.
-        std::fs::write(&garbage, b"PMEVOBINgarbage").unwrap();
+        let garbage = dir.write("garbage.bin", b"PMEVOBINgarbage");
 
         let (server, addr) = start_tcp(tiny_store());
         let responses = roundtrip(
@@ -1018,8 +1016,7 @@ mod tests {
         // Fix the artifact and retry: the reload lands as version 2 —
         // the failures burned no version numbers and left no partial
         // entry behind.
-        let fixed = dir.join("tiny_fixed.json");
-        std::fs::write(&fixed, platforms::tiny().ground_truth().to_json_pretty()).unwrap();
+        let fixed = dir.write("tiny_fixed.json", platforms::tiny().ground_truth().to_json_pretty());
         let responses =
             roundtrip(addr, &format!("!reload TINY={}\n!mappings\n", fixed.display()));
         assert_eq!(responses[0], "{\"line\":1,\"reloaded\":\"TINY@2\"}", "{responses:?}");
@@ -1029,6 +1026,30 @@ mod tests {
             "both versions are listed after the healed reload: {}",
             responses[1]
         );
+        server.stop();
+        server.join();
+    }
+
+    #[test]
+    fn reloading_a_mapping_beyond_the_port_limit_is_refused() {
+        let dir = TempDir::new("serve_reload_wide");
+        let wide = ThreeLevelMapping::new(30, vec![vec![UopEntry::new(1, PortSet::first_n(30))]]);
+        let artifact = MappingArtifact::new(vec!["wide_op".to_owned()], wide);
+        let path = dir.write("wide.bin", artifact.to_bytes());
+
+        let (server, addr) = start_tcp(tiny_store());
+        let responses =
+            roundtrip(addr, &format!("!reload W={}\n!mappings\n{ADD}\n", path.display()));
+        assert_eq!(responses.len(), 3, "{responses:?}");
+        assert!(
+            responses[0].starts_with("{\"line\":1,\"error\":\"reload failed:")
+                && responses[0].contains("30 ports")
+                && responses[0].contains("limit of 26"),
+            "the capacity limit is named at reload time: {}",
+            responses[0]
+        );
+        assert!(!responses[1].contains("\"W@"), "nothing was registered: {}", responses[1]);
+        assert!(responses[2].contains("\"cycles\":"), "{}", responses[2]);
         server.stop();
         server.join();
     }

@@ -120,13 +120,8 @@ pub fn route_line<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::TempDir;
     use pmevo_core::MappingArtifact;
-
-    fn scratch(file: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("pmevo_serve_specs_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(file)
-    }
 
     #[test]
     fn specs_require_at_least_one_mapping() {
@@ -158,8 +153,8 @@ mod tests {
 
     #[test]
     fn specs_load_and_shape_check_real_artifacts() {
-        let good = scratch("tiny.json");
-        std::fs::write(&good, platforms::tiny().ground_truth().to_json_pretty()).unwrap();
+        let dir = TempDir::new("serve_specs");
+        let good = dir.write("tiny.json", platforms::tiny().ground_truth().to_json_pretty());
         let store =
             store_from_specs(&[format!("TINY={}", good.display())], None).expect("valid artifact");
         assert_eq!(store.len(), 1);
@@ -178,8 +173,8 @@ mod tests {
         let tiny = platforms::tiny();
         let names: Vec<String> = tiny.isa().forms().iter().map(|f| f.name.clone()).collect();
         let artifact = MappingArtifact::new(names, tiny.ground_truth().clone());
-        let path = scratch("tiny_spec.bin");
-        std::fs::write(&path, artifact.to_bytes()).unwrap();
+        let dir = TempDir::new("serve_specs");
+        let path = dir.write("tiny_spec.bin", artifact.to_bytes());
 
         // Under the platform name the embedded table is verified.
         let store = store_from_specs(&[format!("TINY={}", path.display())], None).unwrap();
@@ -191,8 +186,7 @@ mod tests {
 
         // A JSON artifact under a free name has no name table: refused
         // with a pointer at the binary format.
-        let json = scratch("tiny_spec.json");
-        std::fs::write(&json, tiny.ground_truth().to_json_pretty()).unwrap();
+        let json = dir.write("tiny_spec.json", tiny.ground_truth().to_json_pretty());
         let err = store_from_specs(&[format!("FLEET7={}", json.display())], None).unwrap_err();
         assert!(err.contains("not a built-in platform"), "{err}");
         assert!(err.contains("tiny_spec.json"), "error names the path: {err}");
@@ -203,8 +197,8 @@ mod tests {
         let tiny = platforms::tiny();
         let names: Vec<String> = tiny.isa().forms().iter().map(|f| f.name.clone()).collect();
         let artifact = MappingArtifact::new(names, tiny.ground_truth().clone());
-        let path = scratch("tiny_budget.bin");
-        std::fs::write(&path, artifact.to_bytes()).unwrap();
+        let dir = TempDir::new("serve_specs");
+        let path = dir.write("tiny_budget.bin", artifact.to_bytes());
 
         let specs = vec![
             format!("A1={}", path.display()),

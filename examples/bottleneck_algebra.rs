@@ -5,8 +5,10 @@
 //!
 //! Run with: `cargo run --example bottleneck_algebra`
 
-use pmevo::core::bottleneck::{lp_throughput, throughput_fast, MassVector};
-use pmevo::core::{Experiment, InstId, PortSet, ThreeLevelMapping, TwoLevelMapping, UopEntry};
+use pmevo::core::bottleneck::{lp_throughput, MassVector};
+use pmevo::core::{
+    Experiment, InstId, PortSet, ThreeLevelMapping, ThroughputSolver, TwoLevelMapping, UopEntry,
+};
 
 fn main() {
     // --- Figure 2: the two-level mapping. ---
@@ -32,7 +34,7 @@ fn main() {
     }
     println!(
         "  bottleneck algorithm: {}, LP solver: {}",
-        throughput_fast(&masses),
+        ThroughputSolver::new().throughput(&masses),
         lp_throughput(&masses)
     );
 

@@ -7,7 +7,9 @@
 
 mod support;
 
+use pmevo::core::{MappingArtifact, PortSet, ThreeLevelMapping, UopEntry};
 use pmevo::machine::platforms;
+use std::io::Write;
 use std::process::{Command, Output, Stdio};
 use support::TempDir;
 
@@ -84,6 +86,30 @@ fn unreadable_and_malformed_mapping_specs_error_cleanly() {
     let out = run(&["predict", "--mapping", &format!("M1={}", tiny.display())]);
     assert_graceful(&out, "\"M1\" is not a built-in platform");
     assert_graceful(&out, "see `pmevo-cli convert`");
+}
+
+#[test]
+fn mappings_beyond_the_enumerable_port_limit_are_refused_at_load() {
+    // A 30-port binary artifact decodes fine, but the throughput solver
+    // enumerates at most 26 live ports: the load must fail with a named
+    // error instead of the first query panicking inside the kernel.
+    let dir = TempDir::new("cli_errors");
+    let wide = ThreeLevelMapping::new(30, vec![vec![UopEntry::new(1, PortSet::first_n(30))]]);
+    let artifact = MappingArtifact::new(vec!["wide_op".to_owned()], wide);
+    let bin = dir.write("wide.bin", artifact.to_bytes());
+    let mut child = cli()
+        .args(["predict", "--mapping", &format!("W={}", bin.display())])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pmevo-cli");
+    // The query may race the process exiting on the load error.
+    let _ = child.stdin.take().expect("piped stdin").write_all(b"wide_op\n");
+    let out = child.wait_with_output().expect("wait for pmevo-cli");
+    assert_graceful(&out, "30 ports");
+    assert_graceful(&out, "limit of 26");
+    assert_eq!(out.status.code(), Some(2), "mapping spec errors exit like other spec errors");
 }
 
 #[test]

@@ -2,8 +2,10 @@
 //! Figure 2 / Example 1 / Example 2 (two-level), Figure 4 (three-level),
 //! and the §3.2 reduction.
 
-use pmevo::core::bottleneck::{lp_throughput, throughput_fast, throughput_naive, MassVector};
-use pmevo::core::{Experiment, InstId, PortSet, ThreeLevelMapping, TwoLevelMapping, UopEntry};
+use pmevo::core::bottleneck::{lp_throughput, throughput_naive, MassVector};
+use pmevo::core::{
+    Experiment, InstId, PortSet, ThreeLevelMapping, ThroughputSolver, TwoLevelMapping, UopEntry,
+};
 
 const MUL: InstId = InstId(0);
 const ADD: InstId = InstId(1);
@@ -102,7 +104,7 @@ fn section_3_2_reduction_to_two_level() {
     assert_eq!(m.uop_masses(&e), manual);
     // All engines agree on its throughput: bottleneck at {P1,P2} = 5/2.
     assert_eq!(m.throughput(&e), 2.5);
-    assert_eq!(throughput_fast(&manual), 2.5);
+    assert_eq!(ThroughputSolver::new().throughput(&manual), 2.5);
     assert_eq!(throughput_naive(&manual), 2.5);
     assert!((lp_throughput(&manual) - 2.5).abs() < 1e-9);
 }
