@@ -2,43 +2,12 @@
 //! pipeline shapes must degrade gracefully, and throughput must respond
 //! to each structural hazard in the expected direction.
 
-use pmevo_core::{Experiment, InstId, PortSet, ThreeLevelMapping, UopEntry};
-use pmevo_isa::synth::tiny_isa;
-use pmevo_isa::LoopBuilder;
-use pmevo_machine::platform::ExecParams;
-use pmevo_machine::{platforms, simulate_kernel, Platform, PlatformInfo};
+mod support;
 
-fn custom_platform(fetch: u32, window: u32, blocking: u32, latency: u32) -> Platform {
-    let isa = tiny_isa();
-    let u = |count, ports: &[usize]| UopEntry::new(count, PortSet::from_ports(ports));
-    let decomp = vec![
-        vec![u(1, &[0, 1])],
-        vec![u(1, &[0])],
-        vec![u(1, &[2])], // "div" slot, used for the blocking tests
-        vec![u(1, &[3])],
-        vec![u(1, &[3])],
-        vec![u(1, &[1])],
-    ];
-    let exec = (0..isa.len())
-        .map(|_| ExecParams { latency, blocking })
-        .collect();
-    Platform::new(
-        "EDGE",
-        PlatformInfo {
-            manufacturer: "test".into(),
-            processor: "edge".into(),
-            microarch: "edge".into(),
-            ports_desc: "4".into(),
-            isa_name: "tiny".into(),
-            clock_ghz: 1.0,
-        },
-        isa,
-        ThreeLevelMapping::new(4, decomp),
-        exec,
-        fetch,
-        window,
-    )
-}
+use pmevo_core::{Experiment, InstId};
+use pmevo_isa::LoopBuilder;
+use pmevo_machine::{platforms, simulate_kernel, Platform};
+use support::custom_platform;
 
 fn throughput(p: &Platform, e: &Experiment) -> f64 {
     let kernel = LoopBuilder::new(p.isa()).build(e);
