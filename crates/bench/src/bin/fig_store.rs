@@ -10,19 +10,22 @@
 //!
 //! The workload is fully seeded: for each mapping count the sweep
 //! generates that many synthetic binary artifacts (`.bin`, embedded
-//! name tables) in a scratch directory, registers them as evictable
-//! entries, and replays one seeded query stream — single worker, cache
-//! off, fixed batch size — against an unbudgeted store and against
-//! byte budgets at each percentage of the total payload size. Every
-//! budgeted cell must answer **bit-identically** to the unbudgeted
-//! reference (the sweep asserts it); what the budget changes is the
-//! eviction/reload traffic and the resident byte count, which each cell
-//! reports.
+//! name tables) in a scratch directory of its own (unique per run,
+//! removed at exit), registers them as evictable entries, and replays
+//! one seeded query stream — single worker, cache off, fixed batch
+//! size — against an unbudgeted store and against byte budgets at each
+//! percentage of the total payload size. Every budgeted cell must
+//! answer **bit-identically** to the unbudgeted reference (the sweep
+//! asserts it); what the budget changes is the eviction/reload traffic
+//! and the resident byte count, which each cell reports.
 //!
 //! **Without** `--timings` the artifact contains no wall-clock fields
 //! and no filesystem paths, so two runs emit identical bytes and CI
 //! `cmp`s them. With `--timings` each cell additionally reports
 //! queries/second, making the cost of riding the reload path visible.
+
+#[path = "../../../../tests/support/mod.rs"]
+mod support;
 
 use pmevo_bench::Args;
 use pmevo_core::json::{self, Value};
@@ -31,8 +34,9 @@ use pmevo_predict::{MappingId, MappingStore, Predictor, PredictorConfig, Residen
 use pmevo_stats::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+use support::TempDir;
 
 /// FNV-1a over the raw bits of every prediction, in query order: equal
 /// checksums mean bit-identical serving results.
@@ -68,11 +72,9 @@ fn synthetic_artifact(rng: &mut StdRng) -> MappingArtifact {
     MappingArtifact::new(names, mapping)
 }
 
-/// Writes `count` seeded artifacts into the scratch directory and
-/// returns their paths, in registration order.
-fn write_fleet(count: usize, seed: u64) -> Vec<PathBuf> {
-    let dir = std::env::temp_dir().join("pmevo_fig_store");
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+/// Writes `count` seeded artifacts into `dir` and returns their paths,
+/// in registration order.
+fn write_fleet(dir: &Path, count: usize, seed: u64) -> Vec<PathBuf> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..count)
         .map(|i| {
@@ -188,8 +190,10 @@ fn main() {
         "mappings", "budget", "evictions", "reloads", "resident", "checksum", "q/s",
     ]);
     let mut rows = Vec::new();
+    // A directory of this run's own, removed when `main` returns.
+    let scratch = TempDir::new("fig_store");
     for &count in &mappings_list {
-        let paths = write_fleet(count, seed);
+        let paths = write_fleet(scratch.path(), count, seed);
         let reference_store = build_store(&paths, None);
         let total_payload: u64 =
             reference_store.ids().map(|id| reference_store.get(id).payload_bytes()).sum();

@@ -66,8 +66,9 @@ impl Platform {
     ///
     /// # Panics
     ///
-    /// Panics if table lengths disagree with the instruction set, or if
-    /// `fetch_width`/`window_size` is zero.
+    /// Panics if table lengths disagree with the instruction set, if
+    /// `fetch_width`/`window_size` is zero, or if a form decomposes into
+    /// no µops (the simulator could never issue it).
     pub fn new(
         name: impl Into<String>,
         info: PlatformInfo,
@@ -80,6 +81,13 @@ impl Platform {
         assert_eq!(ground_truth.num_insts(), isa.len(), "mapping/ISA mismatch");
         assert_eq!(exec.len(), isa.len(), "exec table/ISA mismatch");
         assert!(fetch_width > 0 && window_size > 0);
+        for (i, form) in isa.forms().iter().enumerate() {
+            assert!(
+                !ground_truth.decomposition(InstId(i as u32)).is_empty(),
+                "form {} decomposes into no µops",
+                form.name
+            );
+        }
         Platform {
             name: name.into(),
             info,

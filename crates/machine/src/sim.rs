@@ -14,9 +14,31 @@
 //!   and issues every µop whose operands are ready to a free port from
 //!   its port set (a greedy, non-optimal policy — real schedulers are not
 //!   optimal either, which is exactly the model error the paper observes
-//!   in Figure 6 for longer experiments). Ports accept one µop per cycle;
-//!   a µop with `blocking > 1` occupies its port for several cycles
-//!   (dividers).
+//!   in Figure 6 for longer experiments). Of the free ports in its set a
+//!   µop takes the first one at or after `cycle % num_ports`, wrapping
+//!   around, so no port is favoured. Ports accept one µop per cycle; a
+//!   µop with `blocking > 1` occupies its port for several cycles
+//!   (dividers), one with `blocking == 0` leaves it free.
+//!
+//!   The loop is event-driven; each of these steps leaves every issue
+//!   decision of the scan above unchanged:
+//!   - the free ports are a bitmask, and a µop's port is one bit scan of
+//!     `ports & free`;
+//!   - waiting µops sit in one age-ordered queue per distinct port mask
+//!     (a *port class*). A cycle merges, by age, only the queues whose
+//!     mask meets a free port, and drops a queue once its ports are
+//!     taken: it visits exactly the µops the full scan would find a port
+//!     for, in the same order, and none of the others;
+//!   - a µop's operand-ready cycle is computed once, when all of its
+//!     producers have issued and their completion times are final;
+//!   - after a cycle that issued nothing and fetched nothing, time jumps
+//!     to the earliest cycle at which a busy port frees or a known
+//!     operand-ready time arrives. The skip is exact: until then the
+//!     window stays full (or the stream exhausted), no port frees, and no
+//!     operand becomes ready, since a µop whose producers have not all
+//!     issued cannot become ready while nothing issues. So every skipped
+//!     cycle would have been idle as well, and the port rotation, which
+//!     only matters when something issues, never sees them.
 //! * **Complete** — an instruction's results become available `latency`
 //!   cycles after its last µop issued.
 //!
@@ -42,12 +64,26 @@ pub struct SimResult {
 /// A µop waiting in the scheduler window.
 #[derive(Debug, Clone, Copy)]
 struct WindowUop {
+    /// Fetch order: smaller is older.
+    seq: u64,
     /// Index into the global instruction stream.
     inst_idx: usize,
-    /// Compact port mask of the µop.
-    ports: u64,
     /// Port-blocking duration.
     blocking: u32,
+    /// Cycle from which the operands are ready: the latest `complete` of
+    /// the producers, cached once all of them are known (`UNKNOWN` until
+    /// then).
+    ready_at: u64,
+}
+
+/// The waiting µops that share one port mask, oldest first.
+struct PortClass {
+    ports: u64,
+    uops: Vec<WindowUop>,
+    /// Next µop to visit in this cycle's issue pass.
+    read: usize,
+    /// Where the next µop kept by this cycle's issue pass goes.
+    write: usize,
 }
 
 /// Per-dynamic-instruction bookkeeping.
@@ -60,13 +96,28 @@ struct InstState {
     uops_left: u32,
     /// Max issue cycle among the instruction's µops so far.
     last_issue: u64,
-    /// Cycle when results are available (`u64::MAX` until known).
+    /// Cycle when results are available (`UNKNOWN` until known).
     complete: u64,
     /// Result latency.
     latency: u32,
 }
 
 const NO_DEP: usize = usize::MAX;
+
+/// A cycle that is not known yet.
+const UNKNOWN: u64 = u64::MAX;
+
+/// The port the rotating scan picks from `candidates` (a non-empty mask
+/// of free ports in the µop's port set): the lowest candidate at or above
+/// `start`, else the lowest candidate.
+fn pick_port(candidates: u64, start: usize) -> usize {
+    let at_or_above = candidates & (u64::MAX << start);
+    if at_or_above != 0 {
+        at_or_above.trailing_zeros() as usize
+    } else {
+        candidates.trailing_zeros() as usize
+    }
+}
 
 /// Simulates `iters` iterations of `kernel` on `platform` and reports the
 /// steady-state throughput measured over the post-warm-up iterations.
@@ -87,29 +138,39 @@ pub fn simulate_kernel(platform: &Platform, kernel: &Kernel, warmup: u32, iters:
     let body_len = body.len();
     let num_ports = platform.num_ports();
 
-    // Pre-resolve per-body-position µop lists and exec parameters.
+    // Pre-resolve per-body-position µop lists and exec parameters; each
+    // µop names its port class.
     struct BodyEntry {
-        uops: Vec<(u64, u32)>, // (port mask, blocking)
+        uops: Vec<(usize, u32)>, // (port class, blocking)
         latency: u32,
     }
-    let entries: Vec<BodyEntry> = body
-        .iter()
-        .map(|ki| {
-            let params = platform.exec_params(ki.inst);
-            let uops = platform
-                .ground_truth()
-                .decomposition(ki.inst)
-                .iter()
-                .flat_map(|e| {
-                    std::iter::repeat_n((e.ports.mask(), params.blocking), e.count as usize)
-                })
-                .collect();
-            BodyEntry {
-                uops,
-                latency: params.latency,
-            }
-        })
-        .collect();
+    let mut classes: Vec<PortClass> = Vec::new();
+    let mut entries: Vec<BodyEntry> = Vec::with_capacity(body_len);
+    for ki in body {
+        let params = platform.exec_params(ki.inst);
+        let mut uops = Vec::new();
+        for e in platform.ground_truth().decomposition(ki.inst) {
+            let ports = e.ports.mask();
+            let class = match classes.iter().position(|c| c.ports == ports) {
+                Some(c) => c,
+                None => {
+                    classes.push(PortClass {
+                        ports,
+                        uops: Vec::new(),
+                        read: 0,
+                        write: 0,
+                    });
+                    classes.len() - 1
+                }
+            };
+            let repeated = std::iter::repeat_n((class, params.blocking), e.count as usize);
+            uops.extend(repeated);
+        }
+        entries.push(BodyEntry {
+            uops,
+            latency: params.latency,
+        });
+    }
 
     // Register rename table: last writer instruction index per register.
     let mut last_writer = [[NO_DEP; 64]; 2];
@@ -123,8 +184,11 @@ pub fn simulate_kernel(platform: &Platform, kernel: &Kernel, warmup: u32, iters:
 
     let total_insts = body_len * iters as usize;
     let mut insts: Vec<InstState> = Vec::with_capacity(total_insts);
-    let mut window: std::collections::VecDeque<WindowUop> =
-        std::collections::VecDeque::with_capacity(platform.window_size() as usize + 8);
+    // Number of waiting µops (held by their port classes) and the age of
+    // the next one to enter.
+    let mut window_len = 0usize;
+    let mut next_seq = 0u64;
+    let mut active: Vec<usize> = Vec::with_capacity(classes.len());
 
     let mut port_free_at = vec![0u64; num_ports];
     let mut cycle: u64 = 0;
@@ -140,56 +204,93 @@ pub fn simulate_kernel(platform: &Platform, kernel: &Kernel, warmup: u32, iters:
 
     while iters_done < iters as usize {
         // --- Issue: oldest-first greedy over waiting µops. ---
+        let mut free = port_free_at
+            .iter()
+            .enumerate()
+            .filter(|&(_, &at)| at <= cycle)
+            .fold(0u64, |mask, (p, _)| mask | 1 << p);
+        let start = (cycle as usize) % num_ports;
+        // Earliest known operand-ready cycle after this one, among the
+        // µops whose readiness was tested.
+        let mut next_ready = UNKNOWN;
         let mut issued_any = false;
-        let mut i = 0;
-        while i < window.len() {
-            let uop = window[i];
-            let st = &insts[uop.inst_idx];
-            // Operand readiness: all producers complete by this cycle.
-            let ready = st
-                .deps
-                .iter()
-                .all(|&d| d == NO_DEP || insts[d].complete <= cycle);
-            if ready {
-                // Find a free port in the µop's port set; rotate the
-                // starting port with the cycle count to avoid systematic
-                // bias toward low port numbers.
-                let mut chosen = None;
-                let start = (cycle as usize) % num_ports;
-                for off in 0..num_ports {
-                    let p = (start + off) % num_ports;
-                    if (uop.ports >> p) & 1 == 1 && port_free_at[p] <= cycle {
-                        chosen = Some(p);
-                        break;
+        // Oldest-first over the classes that can use a free port: merge
+        // them by age, and drop a class once its ports are all taken.
+        active.clear();
+        for (c, class) in classes.iter_mut().enumerate() {
+            class.read = 0;
+            class.write = 0;
+            if class.ports & free != 0 && !class.uops.is_empty() {
+                active.push(c);
+            }
+        }
+        loop {
+            let mut oldest = None;
+            let mut oldest_seq = u64::MAX;
+            for &c in &active {
+                let class = &classes[c];
+                if let Some(uop) = class.uops.get(class.read) {
+                    if uop.seq < oldest_seq {
+                        oldest_seq = uop.seq;
+                        oldest = Some(c);
                     }
-                }
-                if let Some(p) = chosen {
-                    port_free_at[p] = cycle + u64::from(uop.blocking);
-                    let st = &mut insts[uop.inst_idx];
-                    st.uops_left -= 1;
-                    st.last_issue = st.last_issue.max(cycle);
-                    if st.uops_left == 0 {
-                        st.complete = st.last_issue + u64::from(st.latency);
-                        // Iteration boundary: the last instruction of an
-                        // iteration finished issuing.
-                        let iter_idx = uop.inst_idx / body_len;
-                        if uop.inst_idx % body_len == body_len - 1 {
-                            iter_end_cycle[iter_idx] = st.last_issue;
-                            iters_done += 1;
-                        }
-                    }
-                    window.remove(i);
-                    issued_any = true;
-                    continue; // do not advance i: next µop shifted in
                 }
             }
-            i += 1;
+            let Some(c) = oldest else { break };
+            let class = &mut classes[c];
+            let mut uop = class.uops[class.read];
+            class.read += 1;
+            if uop.ready_at == UNKNOWN {
+                // Producers are older, so once all of them have issued
+                // their `complete` times are final.
+                uop.ready_at = insts[uop.inst_idx]
+                    .deps
+                    .iter()
+                    .filter(|&&d| d != NO_DEP)
+                    .map(|&d| insts[d].complete)
+                    .fold(0, u64::max);
+            }
+            if uop.ready_at > cycle {
+                if uop.ready_at != UNKNOWN {
+                    next_ready = next_ready.min(uop.ready_at);
+                }
+                class.uops[class.write] = uop;
+                class.write += 1;
+                continue;
+            }
+            let p = pick_port(class.ports & free, start);
+            port_free_at[p] = cycle + u64::from(uop.blocking);
+            issued_any = true;
+            window_len -= 1;
+            let st = &mut insts[uop.inst_idx];
+            st.uops_left -= 1;
+            st.last_issue = st.last_issue.max(cycle);
+            if st.uops_left == 0 {
+                st.complete = st.last_issue + u64::from(st.latency);
+                // Iteration boundary: the last instruction of an
+                // iteration finished issuing.
+                if uop.inst_idx % body_len == body_len - 1 {
+                    iter_end_cycle[uop.inst_idx / body_len] = st.last_issue;
+                    iters_done += 1;
+                }
+            }
+            if uop.blocking > 0 {
+                free &= !(1 << p);
+                active.retain(|&c| classes[c].ports & free != 0);
+            }
+        }
+        for class in &mut classes {
+            if class.write < class.read {
+                let len = class.uops.len();
+                class.uops.copy_within(class.read..len, class.write);
+                class.uops.truncate(class.write + len - class.read);
+            }
         }
 
         // --- Fetch/rename: up to fetch_width µops into the window. ---
         let mut fetched = 0;
         while fetched < fetch_width
-            && window.len() < window_size
+            && window_len < window_size
             && next_fetch_inst < total_insts
         {
             let body_pos = next_fetch_inst % body_len;
@@ -215,7 +316,7 @@ pub fn simulate_kernel(platform: &Platform, kernel: &Kernel, warmup: u32, iters:
                     deps,
                     uops_left: entries[body_pos].uops.len() as u32,
                     last_issue: 0,
-                    complete: u64::MAX,
+                    complete: UNKNOWN,
                     latency: entries[body_pos].latency,
                 });
                 for &w in &ki.writes {
@@ -223,12 +324,15 @@ pub fn simulate_kernel(platform: &Platform, kernel: &Kernel, warmup: u32, iters:
                     last_writer[c][s] = next_fetch_inst;
                 }
             }
-            let (ports, blocking) = entries[body_pos].uops[fetch_uop_pos];
-            window.push_back(WindowUop {
+            let (class, blocking) = entries[body_pos].uops[fetch_uop_pos];
+            classes[class].uops.push(WindowUop {
+                seq: next_seq,
                 inst_idx: next_fetch_inst,
-                ports,
                 blocking,
+                ready_at: UNKNOWN,
             });
+            next_seq += 1;
+            window_len += 1;
             fetch_uop_pos += 1;
             fetched += 1;
             if fetch_uop_pos == entries[body_pos].uops.len() {
@@ -237,12 +341,30 @@ pub fn simulate_kernel(platform: &Platform, kernel: &Kernel, warmup: u32, iters:
             }
         }
 
-        // Guard against (impossible) livelock: if nothing happened and
-        // nothing can happen, the model is broken — fail loudly.
-        if !issued_any && fetched == 0 && window.is_empty() && next_fetch_inst >= total_insts {
-            break;
+        if issued_any || fetched > 0 {
+            cycle += 1;
+            continue;
         }
-        cycle += 1;
+        // An idle cycle: the window is full or the stream exhausted, and
+        // both stay so until something issues. Nothing can issue before
+        // a busy port frees or a known operand-ready time arrives, so
+        // jump straight to the earliest of those.
+        assert!(
+            window_len > 0,
+            "simulator livelock: nothing left to issue after {iters_done} of {iters} iterations"
+        );
+        let next_port = port_free_at
+            .iter()
+            .copied()
+            .filter(|&at| at > cycle)
+            .min()
+            .unwrap_or(UNKNOWN);
+        let next_event = next_port.min(next_ready);
+        assert!(
+            next_event != UNKNOWN,
+            "simulator livelock at cycle {cycle}: {window_len} waiting µops and no future event"
+        );
+        cycle = next_event;
     }
 
     let total_cycles = cycle;
@@ -348,6 +470,22 @@ mod tests {
         let tp = measure(&p, &Experiment::singleton(add));
         // 2 ALU ports but fetch width 3 — port-bound at 0.5.
         assert!((tp - 0.5).abs() < 0.1, "A72 add throughput {tp}");
+    }
+
+    #[test]
+    fn bitmask_port_choice_matches_the_rotating_scan() {
+        // The scan: try ports start, start+1, ... modulo the port count
+        // and take the first candidate.
+        for num_ports in 1..=10usize {
+            for candidates in 1..1u64 << num_ports {
+                for start in 0..num_ports {
+                    let scanned = (0..num_ports)
+                        .map(|off| (start + off) % num_ports)
+                        .find(|&p| (candidates >> p) & 1 == 1);
+                    assert_eq!(Some(pick_port(candidates, start)), scanned);
+                }
+            }
+        }
     }
 
     #[test]

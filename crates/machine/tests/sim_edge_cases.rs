@@ -4,10 +4,10 @@
 
 mod support;
 
-use pmevo_core::{Experiment, InstId};
+use pmevo_core::{Experiment, InstId, PortSet, UopEntry};
 use pmevo_isa::LoopBuilder;
 use pmevo_machine::{platforms, simulate_kernel, Platform};
-use support::custom_platform;
+use support::{custom_platform, edge_decomposition, platform_with};
 
 fn throughput(p: &Platform, e: &Experiment) -> f64 {
     let kernel = LoopBuilder::new(p.isa()).build(e);
@@ -113,4 +113,21 @@ fn built_in_platforms_sustain_full_port_pressure() {
             .sum();
         assert!(t > 0.0 && t <= f64::from(uops) + 1.0, "{}: {t}", p.name());
     }
+}
+
+#[test]
+#[should_panic(expected = "form add_r64_r64_r64 decomposes into no µops")]
+fn forms_without_uops_are_rejected_at_platform_construction() {
+    let mut decomp = edge_decomposition();
+    decomp[0] = vec![];
+    let p = platform_with(decomp, 4, 32, 1, 1);
+    throughput(&p, &Experiment::singleton(InstId(0)));
+}
+
+#[test]
+#[should_panic(expected = "form add_r64_r64_r64 decomposes into no µops")]
+fn forms_with_only_zero_count_entries_are_rejected_too() {
+    let mut decomp = edge_decomposition();
+    decomp[0] = vec![UopEntry::new(0, PortSet::from_ports(&[0]))];
+    platform_with(decomp, 4, 32, 1, 1);
 }

@@ -1,6 +1,7 @@
-//! Test isolation shared by the integration suites and the crates' unit
-//! tests (included there with `#[path]`): every test gets a directory of
-//! its own, and every fixture lands atomically.
+//! Test isolation shared by the integration suites, the crates' unit
+//! tests and the `fig_store` bench binary (included there with
+//! `#[path]`): every test or run gets a directory of its own, and every
+//! fixture lands atomically.
 //!
 //! Tests of one binary run concurrently, and several binaries may run at
 //! once, so a fixed `temp_dir().join("pmevo_…")` path is a race: one test
