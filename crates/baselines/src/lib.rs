@@ -35,11 +35,32 @@ pub use algorithms::{CountingAlgorithm, LpAlgorithm, RandomAlgorithm};
 pub use ithemal::{IthemalConfig, IthemalLike};
 pub use mca::mca_like;
 
-use pmevo_core::{Experiment, MappingPredictor, ThroughputPredictor};
+use pmevo_core::{Experiment, InferenceAlgorithm, MappingPredictor, ThroughputPredictor};
 use pmevo_isa::LoopBuilder;
 use pmevo_machine::{simulate_kernel, Platform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The baseline inference algorithm called `name` — `counting`,
+/// `random` (seeded with `seed`) or `lp` — or `None` for any other name.
+/// This is the one name table for baselines: every front end's
+/// `--algorithm` goes through it.
+///
+/// # Example
+///
+/// ```
+/// let lp = pmevo_baselines::by_name("lp", 0).expect("a baseline");
+/// assert_eq!(lp.name(), "lp");
+/// assert!(pmevo_baselines::by_name("pmevo", 0).is_none());
+/// ```
+pub fn by_name(name: &str, seed: u64) -> Option<Box<dyn InferenceAlgorithm + Send>> {
+    match name {
+        "counting" => Some(Box::new(CountingAlgorithm)),
+        "random" => Some(Box::new(RandomAlgorithm::new(seed))),
+        "lp" => Some(Box::new(LpAlgorithm::default())),
+        _ => None,
+    }
+}
 
 /// The uops.info-style oracle: the platform's ground-truth mapping under
 /// the bottleneck model.
@@ -121,6 +142,16 @@ mod tests {
     use super::*;
     use pmevo_core::InstId;
     use pmevo_machine::platforms;
+
+    #[test]
+    fn baselines_resolve_by_name() {
+        for name in ["counting", "random", "lp"] {
+            assert_eq!(by_name(name, 0).expect("a baseline").name(), name);
+        }
+        for name in ["pmevo", "LP", ""] {
+            assert!(by_name(name, 0).is_none(), "{name}");
+        }
+    }
 
     #[test]
     fn oracle_matches_ground_truth_model() {

@@ -8,16 +8,21 @@
 //! Paper defaults: 2 000 experiments per length (`--n 2000`).
 
 use pmevo_baselines::{oracle, IacaLike};
-use pmevo_bench::{measure_benchmark_set, sample_experiments, sim_backend, Args};
+use pmevo_bench::{measure_benchmark_set, sample_experiments, sim_backend};
+use pmevo_core::flags::{self, num_flag, switch, Exit};
 use pmevo_core::{Experiment, MeasurementBackend, ThroughputPredictor};
 use pmevo_machine::platforms;
 use pmevo_stats::{mape, Table};
+use std::process::ExitCode;
 
-fn main() {
-    let args = Args::parse();
-    let n = args.get_usize("n", if args.has("full") { 2000 } else { 200 });
-    let max_len = args.get_usize("max-len", 15);
-    let seed = args.seed(6);
+fn main() -> ExitCode {
+    flags::run("", run)
+}
+
+fn run(args: &[String]) -> Result<(), Exit> {
+    let n = num_flag(args, "--n", if switch(args, "--full") { 2000usize } else { 200 })?;
+    let max_len = num_flag(args, "--max-len", 15usize)?;
+    let seed = num_flag(args, "--seed", 6u64)?;
 
     let skl = platforms::skl();
     let uops_info = oracle(&skl);
@@ -65,4 +70,5 @@ fn main() {
     println!("\nExpected shape (paper): low error at short lengths, rising for");
     println!("the pure port-mapping model as scheduling effects accumulate;");
     println!("the pipeline-aware IACA-like model stays lower.");
+    Ok(())
 }

@@ -11,11 +11,12 @@
 use pmevo_baselines::{mca_like, oracle, IacaLike, IthemalConfig, IthemalLike};
 use pmevo_bench::{
     artifact_dir, measure_benchmark_set, pmevo_mapping_cached, sample_experiments, sim_backend,
-    Args,
 };
+use pmevo_core::flags::{self, num_flag, Exit};
 use pmevo_core::{MappingPredictor, MeasuredExperiment, ThroughputPredictor};
 use pmevo_machine::{platforms, Platform};
 use pmevo_stats::Heatmap;
+use std::process::ExitCode;
 
 fn heatmap_for(
     tool: &dyn ThroughputPredictor,
@@ -51,12 +52,15 @@ fn emit(platform: &Platform, tool: &dyn ThroughputPredictor, h: &Heatmap) {
     std::fs::write(&path, h.to_csv()).expect("write fig7 csv");
 }
 
-fn main() {
-    let args = Args::parse();
-    let n = args.get_usize("n", 1000);
-    let scale = args.get_usize("scale", 1);
-    let seed = args.seed(7);
-    let bins = args.get_usize("bins", 35);
+fn main() -> ExitCode {
+    flags::run("", run)
+}
+
+fn run(args: &[String]) -> Result<(), Exit> {
+    let n = num_flag(args, "--n", 1000usize)?;
+    let scale = num_flag(args, "--scale", 1usize)?;
+    let seed = num_flag(args, "--seed", 7u64)?;
+    let bins = num_flag(args, "--bins", 35usize)?;
 
     println!("Figure 7: predicted vs measured heat maps ({n} experiments of size 5)");
 
@@ -82,4 +86,5 @@ fn main() {
         }
     }
     println!("\nCSV bin dumps written to {}", artifact_dir().display());
+    Ok(())
 }

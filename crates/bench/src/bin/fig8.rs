@@ -10,12 +10,14 @@
 //! Usage: `cargo run --release -p pmevo-bench --bin fig8
 //!         [--mappings 8] [--experiments 32] [--max-ports 20] [--seed 8]`
 
-use pmevo_bench::{artifact_dir, sample_experiments, Args};
+use pmevo_bench::{artifact_dir, sample_experiments};
+use pmevo_core::flags::{self, num_flag, Exit};
 use pmevo_core::bottleneck::lp_throughput;
 use pmevo_core::{Experiment, ThreeLevelMapping, ThroughputSolver};
 use pmevo_stats::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 use std::time::Instant;
 
 const NUM_INSTS: usize = 100;
@@ -72,12 +74,15 @@ fn run_config(
     (median(bn_times), median(lp_times))
 }
 
-fn main() {
-    let args = Args::parse();
-    let num_mappings = args.get_usize("mappings", 8);
-    let num_experiments = args.get_usize("experiments", 32);
-    let max_ports = args.get_usize("max-ports", 20);
-    let seed = args.seed(8);
+fn main() -> ExitCode {
+    flags::run("", run)
+}
+
+fn run(args: &[String]) -> Result<(), Exit> {
+    let num_mappings = num_flag(args, "--mappings", 8usize)?;
+    let num_experiments = num_flag(args, "--experiments", 32usize)?;
+    let max_ports = num_flag(args, "--max-ports", 20usize)?;
+    let seed = num_flag(args, "--seed", 8u64)?;
     let mut csv = String::from("panel,x,bn_seconds,lp_seconds\n");
 
     println!("Figure 8a: time/experiment vs number of ports (experiment length 4)\n");
@@ -114,4 +119,5 @@ fn main() {
     println!("\nExpected shape (paper): the bottleneck algorithm wins by ~2 orders");
     println!("of magnitude at ≤10 ports; its exponential cost catches up as the");
     println!("port count grows toward 18–20.");
+    Ok(())
 }

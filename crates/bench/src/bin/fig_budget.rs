@@ -16,12 +16,14 @@
 
 use pmevo::machine::platforms;
 use pmevo::{Service, Session, SessionReport};
-use pmevo_bench::{default_pipeline_config, selected_platforms, Args};
+use pmevo_bench::{default_pipeline_config, platform_flag};
+use pmevo_core::flags::{self, flag, list_flag, num_flag, positive_flag, Exit};
 use pmevo_core::json::{self, Value};
 use pmevo_core::{MeasurementBudget, SelectionPolicy};
 use pmevo_evo::PmEvoAlgorithm;
 use pmevo_machine::Platform;
 use pmevo_stats::Table;
+use std::process::ExitCode;
 
 /// One sweep cell: a policy at a budget on a platform.
 struct Cell {
@@ -107,26 +109,20 @@ fn run_to_json(cell: &Cell, report: &SessionReport) -> Value {
     ])
 }
 
-fn main() {
-    let args = Args::parse();
-    let scale = args.get_usize("scale", 1);
-    let seed = args.seed(2);
-    let jobs = args.get_usize("jobs", 1);
-    let top_k = args.get_usize("top-k", 4).max(1);
-    let budgets: Vec<u64> = args
-        .get_str("budgets")
-        .unwrap_or("24,48")
-        .split(',')
-        .map(|b| b.trim().parse().expect("--budgets expects comma-separated integers"))
-        .collect();
-    let out = args.get_str("out").unwrap_or("BENCH_selection.json").to_owned();
+fn main() -> ExitCode {
+    flags::run("", run)
+}
+
+fn run(args: &[String]) -> Result<(), Exit> {
+    let scale = num_flag(args, "--scale", 1usize)?;
+    let seed = num_flag(args, "--seed", 2u64)?;
+    let jobs = positive_flag(args, "--jobs", 1)?;
+    let top_k = positive_flag(args, "--top-k", 4)?;
+    let budgets: Vec<u64> = list_flag(args, "--budgets", "24,48")?;
+    let out = flag(args, "--out")?.unwrap_or_else(|| "BENCH_selection.json".into());
     // Default to the toy machine: the sweep is quadratic in corpus size
     // and meant as a smoke-testable figure, not an overnight run.
-    let platforms = if args.has("platform") {
-        selected_platforms(&args)
-    } else {
-        vec![platforms::tiny()]
-    };
+    let platforms = vec![platform_flag(args)?.unwrap_or_else(platforms::tiny)];
 
     let mut cells: Vec<Cell> = Vec::new();
     for platform in &platforms {
@@ -155,7 +151,7 @@ fn main() {
         "fig_budget: measurement budget vs inference quality (top-k {top_k}, seed {seed})\n"
     );
     let sessions: Vec<Session> = cells.iter().map(|c| session_for(c, scale, seed)).collect();
-    let reports = Service::new(jobs.max(1)).run_many(sessions);
+    let reports = Service::new(jobs).run_many(sessions);
 
     let mut table = Table::new(vec![
         "",
@@ -192,7 +188,8 @@ fn main() {
         ("runs".into(), Value::Arr(runs)),
     ]);
     let text = json::write_pretty(&artifact);
-    std::fs::write(&out, &text).expect("write BENCH_selection.json");
+    std::fs::write(&out, &text)
+        .map_err(|e| Exit::failure(format!("error: cannot write {out}: {e}")))?;
 
     // Self-check: the artifact must parse back and cover every cell —
     // CI reruns the binary and diffs the bytes, so fail loudly here
@@ -205,4 +202,5 @@ fn main() {
         .len();
     assert_eq!(n, cells.len(), "artifact covers every sweep cell");
     println!("wrote {n} runs to {out}");
+    Ok(())
 }

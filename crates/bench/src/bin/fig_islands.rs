@@ -16,22 +16,12 @@
 
 use pmevo::machine::platforms;
 use pmevo::{Session, SessionReport};
-use pmevo_bench::{selected_platforms, Args};
+use pmevo_bench::platform_flag;
+use pmevo_core::flags::{self, flag, list_flag, num_flag, Exit};
 use pmevo_core::json::{self, Value};
 use pmevo_machine::Platform;
 use pmevo_stats::Table;
-
-fn parse_list(args: &Args, name: &str, default: &str) -> Vec<u32> {
-    args.get_str(name)
-        .unwrap_or(default)
-        .split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("--{name} expects comma-separated integers"))
-        })
-        .collect()
-}
+use std::process::ExitCode;
 
 fn run_cell(platform: &Platform, islands: u32, workers: u32, scale: usize, seed: u64) -> SessionReport {
     // The label must not mention the worker count: the whole point is
@@ -50,20 +40,19 @@ fn run_cell(platform: &Platform, islands: u32, workers: u32, scale: usize, seed:
     session.run()
 }
 
-fn main() {
-    let args = Args::parse();
-    let scale = args.get_usize("scale", 1);
-    let seed = args.seed(2);
-    let island_counts = parse_list(&args, "islands", "1,2,4");
-    let worker_counts = parse_list(&args, "workers", "1,2,8");
-    let out = args.get_str("out").unwrap_or("BENCH_islands.json").to_owned();
+fn main() -> ExitCode {
+    flags::run("", run)
+}
+
+fn run(args: &[String]) -> Result<(), Exit> {
+    let scale = num_flag(args, "--scale", 1usize)?;
+    let seed = num_flag(args, "--seed", 2u64)?;
+    let island_counts: Vec<u32> = list_flag(args, "--islands", "1,2,4")?;
+    let worker_counts: Vec<u32> = list_flag(args, "--workers", "1,2,8")?;
+    let out = flag(args, "--out")?.unwrap_or_else(|| "BENCH_islands.json".into());
     // Default to the toy machine: the sweep re-runs every cell once per
     // worker count and is meant as a smoke-testable figure.
-    let platforms = if args.has("platform") {
-        selected_platforms(&args)
-    } else {
-        vec![platforms::tiny()]
-    };
+    let platforms = vec![platform_flag(args)?.unwrap_or_else(platforms::tiny)];
 
     println!("fig_islands: island-model worker invariance (seed {seed})\n");
     let mut table = Table::new(vec!["", "islands", "workers", "measurements", "D_avg", "held-out MAPE"]);
@@ -137,7 +126,8 @@ fn main() {
         ("runs".into(), Value::Arr(rows)),
     ]);
     let text = json::write_pretty(&artifact);
-    std::fs::write(&out, &text).expect("write BENCH_islands.json");
+    std::fs::write(&out, &text)
+        .map_err(|e| Exit::failure(format!("error: cannot write {out}: {e}")))?;
 
     // Self-check: the artifact must parse back and cover every cell —
     // CI reruns the binary and diffs the bytes, so fail loudly here
@@ -152,4 +142,5 @@ fn main() {
     };
     assert_eq!(runs, platforms.len() * island_counts.len(), "artifact covers every cell");
     println!("artifact written to {out}");
+    Ok(())
 }

@@ -26,14 +26,15 @@
 //! uncached cells — the CI determinism gate runs that mode double and
 //! `cmp`s the artifacts.
 
-use pmevo_bench::Args;
+use pmevo_core::flags::{self, flag, list_flag, num_flag, positive_flag, switch, Exit};
 use pmevo_core::json::{self, Value};
 use pmevo_core::{Experiment, InstId};
-use pmevo_machine::platforms;
+use pmevo_machine::{platforms, Platform};
 use pmevo_predict::{MappingId, MappingStore, Predictor, PredictorConfig};
 use pmevo_stats::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// FNV-1a over the raw bits of every prediction, in query order: equal
@@ -65,11 +66,9 @@ struct CellResult {
     elapsed_ns: Option<u128>,
 }
 
-fn build_store(platform_names: &[String]) -> MappingStore {
+fn build_store(machines: &[Platform]) -> MappingStore {
     let mut store = MappingStore::new();
-    for name in platform_names {
-        let p = platforms::by_name(name)
-            .unwrap_or_else(|| panic!("unknown platform {name:?}; expected SKL, ZEN, A72 or TINY"));
+    for p in machines {
         let names = p.isa().forms().iter().map(|f| f.name.clone()).collect();
         store.insert(p.name(), names, p.ground_truth().clone());
     }
@@ -97,10 +96,10 @@ fn workload(store: &MappingStore, total: usize, distinct: usize, seed: u64) -> V
 
 /// Replays the workload against one serving configuration, returning
 /// predictions in query order plus the serving counters.
-fn run_cell(cell: &Cell, platform_names: &[String], queries: &[(MappingId, Experiment)], timings: bool) -> CellResult {
+fn run_cell(cell: &Cell, machines: &[Platform], queries: &[(MappingId, Experiment)], timings: bool) -> CellResult {
     // A fresh store and predictor per cell: no cache state or solver
     // warm-up leaks between cells.
-    let store = build_store(platform_names);
+    let store = build_store(machines);
     let predictor = Predictor::new(
         store,
         PredictorConfig { workers: cell.workers, cache_capacity: cell.cache_capacity },
@@ -129,36 +128,32 @@ fn chunk_offsets(len: usize, chunk: usize) -> impl Iterator<Item = usize> {
     (0..len).step_by(chunk.max(1))
 }
 
-fn parse_list(args: &Args, name: &str, default: &str) -> Vec<usize> {
-    args.get_str(name)
-        .unwrap_or(default)
-        .split(',')
-        .map(|v| v.trim().parse().unwrap_or_else(|_| panic!("--{name} expects comma-separated integers")))
-        .collect()
+fn main() -> ExitCode {
+    flags::run("", run)
 }
 
-fn main() {
-    let args = Args::parse();
-    let seed = args.seed(5);
-    let total = args.get_usize("sequences", 20_000);
-    let distinct = args.get_usize("distinct", 400).max(1);
-    let cache_capacity = args.get_usize("cache", 1 << 16);
-    let batches = parse_list(&args, "batches", "1,64,1024");
-    let jobs_list = parse_list(&args, "jobs-list", "1,2,8");
-    let timings = args.has("timings");
-    let out = args.get_str("out").unwrap_or("BENCH_predict.json").to_owned();
-    let platform_names: Vec<String> = args
-        .get_str("platform")
-        .unwrap_or("SKL,ZEN,A72")
-        .split(',')
-        .map(|s| s.trim().to_uppercase())
-        .collect();
+fn run(args: &[String]) -> Result<(), Exit> {
+    let seed = num_flag(args, "--seed", 5u64)?;
+    let total = num_flag(args, "--sequences", 20_000usize)?;
+    let distinct = positive_flag(args, "--distinct", 400)?;
+    let cache_capacity = num_flag(args, "--cache", 1usize << 16)?;
+    let batches: Vec<usize> = list_flag(args, "--batches", "1,64,1024")?;
+    let jobs_list: Vec<usize> = list_flag(args, "--jobs-list", "1,2,8")?;
+    let timings = switch(args, "--timings");
+    let out = flag(args, "--out")?.unwrap_or_else(|| "BENCH_predict.json".into());
+    let machines = list_flag::<String>(args, "--platform", "SKL,ZEN,A72")?
+        .iter()
+        .map(|name| {
+            platforms::by_name(name)
+                .ok_or_else(|| flags::unknown_name("--platform", name, platforms::NAMES))
+        })
+        .collect::<Result<Vec<Platform>, Exit>>()?;
 
-    let store = build_store(&platform_names);
+    let store = build_store(&machines);
     let queries = workload(&store, total, distinct, seed);
     println!(
         "fig_predict: {total} queries over {distinct} distinct blocks, {}-platform store (seed {seed})\n",
-        platform_names.len()
+        machines.len()
     );
 
     let mut cells: Vec<Cell> = Vec::new();
@@ -179,7 +174,7 @@ fn main() {
     let mut cached_batch_ns: Option<u128> = None;
     let mut uncached_single_ns: Option<u128> = None;
     for cell in &cells {
-        let r = run_cell(cell, &platform_names, &queries, timings);
+        let r = run_cell(cell, &machines, &queries, timings);
         // The headline comparison: best cached batched cell vs the
         // per-sequence uncached baseline (batch 1, one worker, no cache).
         if let Some(ns) = r.elapsed_ns {
@@ -246,15 +241,17 @@ fn main() {
         ("distinct".into(), Value::UInt(distinct as u64)),
         (
             "platforms".into(),
-            Value::Arr(platform_names.iter().cloned().map(Value::Str).collect()),
+            Value::Arr(machines.iter().map(|p| Value::Str(p.name().to_owned())).collect()),
         ),
         ("cells".into(), Value::Arr(rows)),
         ("speedup_cached_batch_vs_uncached_single".into(), speedup),
     ]);
     let text = json::write_pretty(&artifact);
-    std::fs::write(&out, &text).expect("write BENCH_predict.json");
+    std::fs::write(&out, &text)
+        .map_err(|e| Exit::failure(format!("error: cannot write {out}: {e}")))?;
     let parsed = json::parse(&text).expect("emitted artifact parses");
     let n = parsed.get("cells").and_then(Value::as_arr).expect("artifact has cells").len();
     assert_eq!(n, cells.len(), "artifact covers every sweep cell");
     println!("wrote {n} cells to {out}");
+    Ok(())
 }

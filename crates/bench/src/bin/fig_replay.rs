@@ -19,69 +19,64 @@
 //! `fig_predict`. With `--timings` each cell additionally reports
 //! blocks/second.
 
-use pmevo_bench::Args;
+use pmevo_core::flags::{self, flag, list_flag, num_flag, switch, Exit};
 use pmevo_core::json::{self, Value};
-use pmevo_machine::platforms;
+use pmevo_machine::{platforms, Platform};
 use pmevo_predict::{MappingId, MappingStore, Predictor, PredictorConfig};
 use pmevo_stats::Table;
 use pmevo_x86::{accounting_json, replay, synthetic_corpus, Resolver};
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Ground-truth store for one platform, the stand-in for a deployed
 /// inferred artifact.
-fn build_store(platform_name: &str) -> (MappingStore, MappingId) {
-    let p = platforms::by_name(platform_name)
-        .unwrap_or_else(|| panic!("unknown platform {platform_name:?}"));
+fn build_store(p: &Platform) -> (MappingStore, MappingId) {
     let mut store = MappingStore::new();
     let names = p.isa().forms().iter().map(|f| f.name.clone()).collect();
     let id = store.insert(p.name(), names, p.ground_truth().clone());
     (store, id)
 }
 
-fn parse_list(args: &Args, name: &str, default: &str) -> Vec<usize> {
-    args.get_str(name)
-        .unwrap_or(default)
-        .split(',')
-        .map(|v| v.trim().parse().unwrap_or_else(|_| panic!("--{name} expects comma-separated integers")))
-        .collect()
+fn main() -> ExitCode {
+    flags::run("", run)
 }
 
-fn main() {
-    let args = Args::parse();
-    let seed = args.seed(7);
-    let blocks = args.get_usize("blocks", 2000);
-    let cache_capacity = args.get_usize("cache", 1 << 16);
-    let jobs_list = parse_list(&args, "jobs-list", "1,2,8");
-    let timings = args.has("timings");
-    let out = args.get_str("out").unwrap_or("BENCH_replay.json").to_owned();
-    let uarch_names: Vec<String> = args
-        .get_str("uarch")
-        .unwrap_or("skl,zen,a72")
-        .split(',')
-        .map(|s| s.trim().to_lowercase())
-        .collect();
+fn run(args: &[String]) -> Result<(), Exit> {
+    let seed = num_flag(args, "--seed", 7u64)?;
+    let blocks = num_flag(args, "--blocks", 2000usize)?;
+    let cache_capacity = num_flag(args, "--cache", 1usize << 16)?;
+    let jobs_list: Vec<usize> = list_flag(args, "--jobs-list", "1,2,8")?;
+    let timings = switch(args, "--timings");
+    let out = flag(args, "--out")?.unwrap_or_else(|| "BENCH_replay.json".into());
+    let uarchs = list_flag::<String>(args, "--uarch", "skl,zen,a72")?
+        .into_iter()
+        .map(|name| {
+            let name = name.to_lowercase();
+            match pmevo_x86::by_name(&name) {
+                Some(table) => Ok((name, table)),
+                None => Err(flags::unknown_name("--uarch", &name, "skl, zen or a72")),
+            }
+        })
+        .collect::<Result<Vec<_>, Exit>>()?;
 
     let corpus = synthetic_corpus(blocks, seed);
+    let uarch_names: Vec<&String> = uarchs.iter().map(|(name, _)| name).collect();
     println!("fig_replay: {blocks} basic blocks (seed {seed}) against {uarch_names:?}\n");
 
     let mut table = Table::new(vec![
         "uarch", "workers", "blocks", "mapped", "inst cov", "checksum", "blocks/s",
     ]);
-    let mut uarch_rows: Vec<Value> = Vec::with_capacity(uarch_names.len());
-    for name in &uarch_names {
-        let table_for = || {
-            pmevo_x86::by_name(name)
-                .unwrap_or_else(|| panic!("unknown uarch {name:?}; expected skl, zen or a72"))
-        };
-        let platform = platforms::by_name(table_for().platform())
+    let mut uarch_rows: Vec<Value> = Vec::with_capacity(uarchs.len());
+    for (name, uarch) in &uarchs {
+        let platform = platforms::by_name(uarch.platform())
             .expect("every uarch table names a built-in platform");
         let mut reference: Option<String> = None;
         let mut cells: Vec<Value> = Vec::with_capacity(jobs_list.len());
         for &workers in &jobs_list {
             // A fresh resolver, store and predictor per cell: no cache
             // state leaks between worker counts.
-            let resolver = Resolver::new(table_for(), platform.isa());
-            let (store, id) = build_store(platform.name());
+            let resolver = Resolver::new(uarch.clone(), platform.isa());
+            let (store, id) = build_store(&platform);
             let predictor =
                 Predictor::new(store, PredictorConfig { workers, cache_capacity });
             let started = Instant::now();
@@ -134,9 +129,11 @@ fn main() {
         ("uarchs".into(), Value::Arr(uarch_rows)),
     ]);
     let text = json::write_pretty(&artifact);
-    std::fs::write(&out, &text).expect("write BENCH_replay.json");
+    std::fs::write(&out, &text)
+        .map_err(|e| Exit::failure(format!("error: cannot write {out}: {e}")))?;
     let parsed = json::parse(&text).expect("emitted artifact parses");
     let n = parsed.get("uarchs").and_then(Value::as_arr).expect("artifact has uarchs").len();
-    assert_eq!(n, uarch_names.len(), "artifact covers every uarch");
+    assert_eq!(n, uarchs.len(), "artifact covers every uarch");
     println!("wrote {n} uarch replays to {out}");
+    Ok(())
 }

@@ -27,7 +27,7 @@
 #[path = "../../../../tests/support/mod.rs"]
 mod support;
 
-use pmevo_bench::Args;
+use pmevo_core::flags::{self, flag, list_flag, num_flag, positive_flag, switch, Exit};
 use pmevo_core::json::{self, Value};
 use pmevo_core::{Experiment, InstId, MappingArtifact, PortSet, ThreeLevelMapping, UopEntry};
 use pmevo_predict::{MappingId, MappingStore, Predictor, PredictorConfig, ResidencyStats};
@@ -35,6 +35,7 @@ use pmevo_stats::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::time::Instant;
 use support::TempDir;
 
@@ -158,28 +159,19 @@ fn run_cell(
     }
 }
 
-fn parse_list(args: &Args, name: &str, default: &str) -> Vec<usize> {
-    args.get_str(name)
-        .unwrap_or(default)
-        .split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("--{name} expects comma-separated integers"))
-        })
-        .collect()
+fn main() -> ExitCode {
+    flags::run("", run)
 }
 
-fn main() {
-    let args = Args::parse();
-    let seed = args.seed(9);
-    let total = args.get_usize("queries", 3000);
-    let distinct = args.get_usize("distinct", 96).max(1);
-    let batch = args.get_usize("batch", 64);
-    let mappings_list = parse_list(&args, "mappings-list", "4,16,64");
-    let budget_pcts = parse_list(&args, "budget-pcts", "0,25,50,100");
-    let timings = args.has("timings");
-    let out = args.get_str("out").unwrap_or("BENCH_store.json").to_owned();
+fn run(args: &[String]) -> Result<(), Exit> {
+    let seed = num_flag(args, "--seed", 9u64)?;
+    let total = num_flag(args, "--queries", 3000usize)?;
+    let distinct = positive_flag(args, "--distinct", 96)?;
+    let batch = num_flag(args, "--batch", 64usize)?;
+    let mappings_list: Vec<usize> = list_flag(args, "--mappings-list", "4,16,64")?;
+    let budget_pcts: Vec<usize> = list_flag(args, "--budget-pcts", "0,25,50,100")?;
+    let timings = switch(args, "--timings");
+    let out = flag(args, "--out")?.unwrap_or_else(|| "BENCH_store.json".into());
 
     println!(
         "fig_store: {total} queries over {distinct} distinct blocks per fleet, \
@@ -264,7 +256,8 @@ fn main() {
         ("cells".into(), Value::Arr(rows)),
     ]);
     let text = json::write_pretty(&artifact);
-    std::fs::write(&out, &text).expect("write BENCH_store.json");
+    std::fs::write(&out, &text)
+        .map_err(|e| Exit::failure(format!("error: cannot write {out}: {e}")))?;
     let parsed = json::parse(&text).expect("emitted artifact parses");
     let n = parsed.get("cells").and_then(Value::as_arr).expect("artifact has cells").len();
     assert_eq!(
@@ -273,4 +266,5 @@ fn main() {
         "artifact covers every sweep cell"
     );
     println!("wrote {n} cells to {out}");
+    Ok(())
 }

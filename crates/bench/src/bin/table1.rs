@@ -2,12 +2,17 @@
 //!
 //! Usage: `cargo run -p pmevo-bench --bin table1`
 
-use pmevo_bench::{selected_platforms, Args};
+use pmevo_bench::selected_platforms;
+use pmevo_core::flags::{self, Exit};
 use pmevo_stats::Table;
+use std::process::ExitCode;
 
-fn main() {
-    let args = Args::parse();
-    let platforms = selected_platforms(&args);
+fn main() -> ExitCode {
+    flags::run("", run)
+}
+
+fn run(args: &[String]) -> Result<(), Exit> {
+    let platforms = selected_platforms(args)?;
 
     let mut table = Table::new(vec!["", "SKL", "ZEN", "A72"]);
     let get = |f: &dyn Fn(&pmevo_machine::Platform) -> String| -> Vec<String> {
@@ -35,4 +40,5 @@ fn main() {
     println!("{table}");
     println!("Note: physical machines are replaced by cycle-level simulators");
     println!("with hidden ground-truth port mappings (see DESIGN.md).");
+    Ok(())
 }

@@ -20,19 +20,23 @@
 
 use pmevo::{Service, Session};
 use pmevo_bench::{
-    artifact_dir, mapping_artifact_path, save_mapping, selected_algorithm, selected_budget,
-    selected_platforms, selected_selection, Args,
+    artifact_dir, mapping_artifact_path, save_mapping, selected_algorithm, selected_platforms,
 };
+use pmevo_core::flags::{self, num_flag, positive_flag, Exit};
 use pmevo_stats::Table;
+use std::process::ExitCode;
 
-fn main() {
-    let args = Args::parse();
-    let scale = args.get_usize("scale", 1);
-    let seed = args.seed(2);
-    let jobs = args.get_usize("jobs", 1);
-    let selection = selected_selection(&args);
-    let budget = selected_budget(&args);
-    let platforms = selected_platforms(&args);
+fn main() -> ExitCode {
+    flags::run("", run)
+}
+
+fn run(args: &[String]) -> Result<(), Exit> {
+    let scale = num_flag(args, "--scale", 1usize)?;
+    let seed = num_flag(args, "--seed", 2u64)?;
+    let jobs = positive_flag(args, "--jobs", 1)?;
+    let selection = flags::selection_flag(args)?;
+    let budget = flags::budget_flag(args)?;
+    let platforms = selected_platforms(args)?;
 
     println!(
         "Table 2: PMEvo mapping characteristics (population {}, ε = 0.05)\n",
@@ -47,20 +51,20 @@ fn main() {
         "number of µops",
     ]);
 
-    let sessions: Vec<Session> = platforms
+    let sessions = platforms
         .iter()
         .map(|platform| {
             eprintln!("[table2] queueing inference for {} ...", platform.name());
-            pmevo_bench::inference_session(
+            Ok(pmevo_bench::inference_session(
                 platform,
-                selected_algorithm(&args, scale, seed),
+                selected_algorithm(args, scale, seed)?,
                 seed,
                 selection,
                 budget,
-            )
+            ))
         })
-        .collect();
-    let reports = Service::new(jobs.max(1)).run_many(sessions);
+        .collect::<Result<Vec<Session>, Exit>>()?;
+    let reports = Service::new(jobs).run_many(sessions);
 
     for (platform, report) in platforms.iter().zip(reports) {
         // Artifacts are keyed by algorithm *and* selection policy so a
@@ -96,4 +100,5 @@ fn main() {
     println!("{table}");
     println!("Paper values (hardware scale): benchmarking 20h/27h/74h,");
     println!("inference 5h/21h/12h, congruent 69%/53%/56%, µops 17/15/9.");
+    Ok(())
 }

@@ -11,17 +11,22 @@
 use pmevo_baselines::{mca_like, oracle, IacaLike, IthemalConfig, IthemalLike};
 use pmevo_bench::{
     evaluate_predictor, measure_benchmark_set, pmevo_mapping_cached, sample_experiments,
-    sim_backend, Args,
+    sim_backend,
 };
+use pmevo_core::flags::{self, num_flag, switch, Exit};
 use pmevo_core::{MappingPredictor, ThroughputPredictor};
 use pmevo_machine::platforms;
 use pmevo_stats::Table;
+use std::process::ExitCode;
 
-fn main() {
-    let args = Args::parse();
-    let n = args.get_usize("n", if args.has("full") { 40_000 } else { 2_000 });
-    let scale = args.get_usize("scale", 1);
-    let seed = args.seed(3);
+fn main() -> ExitCode {
+    flags::run("", run)
+}
+
+fn run(args: &[String]) -> Result<(), Exit> {
+    let n = num_flag(args, "--n", if switch(args, "--full") { 40_000usize } else { 2_000 })?;
+    let scale = num_flag(args, "--scale", 1usize)?;
+    let seed = num_flag(args, "--seed", 3u64)?;
 
     let skl = platforms::skl();
     eprintln!("[table3] measuring {n} size-5 experiments on SKL ...");
@@ -54,4 +59,5 @@ fn main() {
     println!("{table}");
     println!("Paper values: PMEvo 14.7%/0.98/0.85, uops.info 9.3%/0.92/0.88,");
     println!("IACA 8.0%/0.86/0.79, llvm-mca 9.7%/0.87/0.82, Ithemal 60.6%/0.35/0.54.");
+    Ok(())
 }

@@ -8,17 +8,22 @@
 use pmevo_baselines::mca_like;
 use pmevo_bench::{
     evaluate_predictor, measure_benchmark_set, pmevo_mapping_cached, sample_experiments,
-    sim_backend, Args,
+    sim_backend,
 };
+use pmevo_core::flags::{self, num_flag, switch, Exit};
 use pmevo_core::{MappingPredictor, ThroughputPredictor};
 use pmevo_machine::platforms;
 use pmevo_stats::Table;
+use std::process::ExitCode;
 
-fn main() {
-    let args = Args::parse();
-    let n = args.get_usize("n", if args.has("full") { 40_000 } else { 2_000 });
-    let scale = args.get_usize("scale", 1);
-    let seed = args.seed(4);
+fn main() -> ExitCode {
+    flags::run("", run)
+}
+
+fn run(args: &[String]) -> Result<(), Exit> {
+    let n = num_flag(args, "--n", if switch(args, "--full") { 40_000usize } else { 2_000 })?;
+    let scale = num_flag(args, "--scale", 1usize)?;
+    let seed = num_flag(args, "--seed", 4u64)?;
 
     println!("Table 4: prediction accuracy on ZEN and A72 ({n} experiments of size 5)\n");
     let mut table = Table::new(vec!["", "MAPE", "Pearson CC", "Spearman CC"]);
@@ -51,4 +56,5 @@ fn main() {
     println!("{table}");
     println!("Paper values: PMEvo(ZEN) 13.5%/0.94/0.87, llvm-mca(ZEN) 50.8%/0.86/0.54,");
     println!("PMEvo(A72) 21.4%/0.68/0.77, llvm-mca(A72) 65.3%/0.67/0.68.");
+    Ok(())
 }

@@ -3,10 +3,12 @@
 //!
 //! Everything here is deliberately boring plumbing: benchmark-set
 //! sampling, backend-based measurement, predictor evaluation, the
-//! shared CLI flags (`--seed`, `--platform`, `--algorithm`, …) every
-//! binary understands, and the artifact cache that lets
-//! `table3`/`table4`/`fig7` reuse the mappings inferred by `table2`
-//! instead of re-running inference.
+//! resolvers for the `--platform` and `--algorithm` names the binaries
+//! share, and the artifact cache that lets `table3`/`table4`/`fig7`
+//! reuse the mappings inferred by `table2` instead of re-running
+//! inference. Flags themselves are parsed by [`pmevo_core::flags`], the
+//! parser every front end uses: a malformed value or an unknown name
+//! prints an `error: …` line and exits 1 or 2, never a panic.
 //!
 //! Measurement and inference go through the session API: a
 //! [`SimBackend`] per platform, [`pmevo::Session`] for inference runs,
@@ -14,13 +16,13 @@
 //! [`InferenceAlgorithm`]s from the command line.
 
 use pmevo::Session;
-use pmevo_baselines::{CountingAlgorithm, LpAlgorithm, RandomAlgorithm};
+use pmevo_core::flags::{self, Exit};
 use pmevo_core::{
     Experiment, InferenceAlgorithm, InstId, MeasuredExperiment, MeasurementBackend,
     MeasurementBudget, SelectionPolicy, ThreeLevelMapping, ThroughputPredictor,
 };
 use pmevo_evo::{EvoConfig, PipelineConfig, PmEvoAlgorithm};
-use pmevo_machine::{MeasureConfig, Platform, SimBackend};
+use pmevo_machine::{platforms, MeasureConfig, Platform, SimBackend};
 use pmevo_stats::AccuracySummary;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -199,141 +201,26 @@ pub fn save_mapping(path: &Path, mapping: &ThreeLevelMapping) {
     std::fs::write(path, json).expect("write mapping artifact");
 }
 
-/// A minimal `--flag value` / `--switch` parser for the reproduction
-/// binaries.
+/// The platform named by the shared `--platform NAME` flag, if given.
 ///
-/// # Example
+/// # Errors
 ///
-/// ```
-/// use pmevo_bench::Args;
-///
-/// let args = Args::parse_from(["--n", "100", "--full"].iter().map(|s| s.to_string()));
-/// assert_eq!(args.get_usize("n", 5), 100);
-/// assert!(args.has("full"));
-/// assert_eq!(args.seed(7), 7);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Args {
-    pairs: Vec<(String, Option<String>)>,
+/// An unknown platform name (exit 2) or a missing value (exit 1).
+pub fn platform_flag(args: &[String]) -> Result<Option<Platform>, Exit> {
+    flags::name_flag(args, "--platform", platforms::NAMES, platforms::by_name)
 }
 
-impl Args {
-    /// Parses the process's CLI arguments.
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
-    }
-
-    /// Parses from an explicit iterator (for tests).
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
-        let mut pairs = Vec::new();
-        let mut iter = args.into_iter().peekable();
-        while let Some(a) = iter.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = match iter.peek() {
-                    Some(v) if !v.starts_with("--") => iter.next(),
-                    _ => None,
-                };
-                pairs.push((name.to_string(), value));
-            } else {
-                eprintln!("[pmevo-bench] ignoring stray argument {a:?}");
-            }
-        }
-        Args { pairs }
-    }
-
-    /// Whether `--name` was given (with or without value).
-    pub fn has(&self, name: &str) -> bool {
-        self.pairs.iter().any(|(n, _)| n == name)
-    }
-
-    /// The value of `--name` as `usize`, or `default`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value does not parse.
-    pub fn get_usize(&self, name: &str, default: usize) -> usize {
-        self.get_str(name)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("--{name} expects a number, got {v:?}")))
-            .unwrap_or(default)
-    }
-
-    /// The value of `--name` as `u64`, or `default`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value does not parse.
-    pub fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.get_str(name)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("--{name} expects a number, got {v:?}")))
-            .unwrap_or(default)
-    }
-
-    /// The shared `--seed` flag, or `default`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value does not parse.
-    pub fn seed(&self, default: u64) -> u64 {
-        self.get_u64("seed", default)
-    }
-
-    /// The raw value of `--name`, if given.
-    pub fn get_str(&self, name: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
-    }
-}
-
-/// Resolves the platforms selected by the shared `--platform NAME` flag
+/// The platforms selected by the shared `--platform NAME` flag
 /// (default: the three paper platforms; `TINY` is opt-in).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unknown platform name.
-pub fn selected_platforms(args: &Args) -> Vec<Platform> {
-    use pmevo_machine::platforms;
-    match args.get_str("platform") {
+/// As [`platform_flag`].
+pub fn selected_platforms(args: &[String]) -> Result<Vec<Platform>, Exit> {
+    Ok(match platform_flag(args)? {
+        Some(platform) => vec![platform],
         None => vec![platforms::skl(), platforms::zen(), platforms::a72()],
-        Some(name) => match name.to_uppercase().as_str() {
-            "SKL" => vec![platforms::skl()],
-            "ZEN" => vec![platforms::zen()],
-            "A72" => vec![platforms::a72()],
-            "TINY" => vec![platforms::tiny()],
-            other => panic!("unknown platform {other}; expected SKL, ZEN, A72 or TINY"),
-        },
-    }
-}
-
-/// Resolves the shared experiment-selection flags: `--selection
-/// one-shot|disagreement|uniform` (default `one-shot`) with `--top-k N`
-/// (default 16, clamped to at least 1) for the round-based policies.
-///
-/// # Panics
-///
-/// Panics on an unknown policy name or a non-numeric `--top-k`.
-pub fn selected_selection(args: &Args) -> SelectionPolicy {
-    let top_k = args.get_usize("top-k", 16).max(1);
-    match args.get_str("selection").unwrap_or("one-shot") {
-        "one-shot" => SelectionPolicy::OneShot,
-        "disagreement" => SelectionPolicy::Disagreement { top_k },
-        "uniform" => SelectionPolicy::Uniform { top_k },
-        other => panic!("unknown selection policy {other}; expected one-shot, disagreement or uniform"),
-    }
-}
-
-/// Resolves the shared `--budget N` flag (maximum real measurements)
-/// into a [`MeasurementBudget`]; absent or 0 means unlimited.
-///
-/// # Panics
-///
-/// Panics if the value does not parse.
-pub fn selected_budget(args: &Args) -> MeasurementBudget {
-    match args.get_u64("budget", 0) {
-        0 => MeasurementBudget::UNLIMITED,
-        n => MeasurementBudget::measurements(n),
-    }
+    })
 }
 
 /// Resolves the shared `--algorithm NAME` flag into an
@@ -341,25 +228,24 @@ pub fn selected_budget(args: &Args) -> MeasurementBudget {
 /// affect the algorithms that use them; the shared
 /// `--selection`/`--budget`/`--top-k` flags only affect PMEvo.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unknown algorithm name.
+/// An unknown algorithm or selection policy name (exit 2) or a
+/// malformed `--top-k`/`--budget` (exit 1).
 pub fn selected_algorithm(
-    args: &Args,
+    args: &[String],
     scale: usize,
     seed: u64,
-) -> Box<dyn InferenceAlgorithm + Send> {
-    match args.get_str("algorithm").unwrap_or("pmevo") {
+) -> Result<Box<dyn InferenceAlgorithm + Send>, Exit> {
+    match flags::flag(args, "--algorithm")?.as_deref().unwrap_or("pmevo") {
         "pmevo" => {
             let mut config = default_pipeline_config(scale, seed);
-            config.selection = selected_selection(args);
-            config.budget = selected_budget(args);
-            Box::new(PmEvoAlgorithm::new(config))
+            config.selection = flags::selection_flag(args)?;
+            config.budget = flags::budget_flag(args)?;
+            Ok(Box::new(PmEvoAlgorithm::new(config)))
         }
-        "counting" => Box::new(CountingAlgorithm),
-        "random" => Box::new(RandomAlgorithm::new(seed)),
-        "lp" => Box::new(LpAlgorithm::default()),
-        other => panic!("unknown algorithm {other}; expected pmevo, counting, random or lp"),
+        name => pmevo_baselines::by_name(name, seed)
+            .ok_or_else(|| flags::unknown_name("--algorithm", name, "pmevo, counting, random or lp")),
     }
 }
 
@@ -371,7 +257,6 @@ mod test_support;
 mod tests {
     use super::*;
     use crate::test_support::TempDir;
-    use pmevo_machine::platforms;
 
     #[test]
     fn sampling_is_deterministic_and_sized() {
@@ -396,19 +281,21 @@ mod tests {
         }
     }
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn args_parser_handles_flags_and_values() {
-        let args = Args::parse_from(
-            ["--n", "42", "--full", "--platform", "zen", "--seed", "9"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert_eq!(args.get_usize("n", 0), 42);
-        assert!(args.has("full"));
-        assert_eq!(args.seed(0), 9);
-        assert_eq!(args.get_str("platform"), Some("zen"));
-        assert_eq!(selected_platforms(&args)[0].name(), "ZEN");
-        assert_eq!(selected_platforms(&Args::default()).len(), 3);
+        let a = args(&["--n", "42", "--full", "--platform", "zen", "--seed", "9"]);
+        assert_eq!(flags::num_flag(&a, "--n", 0usize), Ok(42));
+        assert!(flags::switch(&a, "--full"));
+        assert_eq!(flags::num_flag(&a, "--seed", 0u64), Ok(9));
+        assert_eq!(selected_platforms(&a).unwrap()[0].name(), "ZEN");
+        assert_eq!(selected_platforms(&[]).unwrap().len(), 3);
+        let err = selected_platforms(&args(&["--platform", "NOPE"])).unwrap_err();
+        assert_eq!(err.message, "error: unknown --platform NOPE; expected SKL, ZEN, A72 or TINY");
+        assert_eq!(err.code, 2);
     }
 
     #[test]
@@ -419,10 +306,12 @@ mod tests {
             ("random", "random"),
             ("lp", "lp"),
         ] {
-            let args = Args::parse_from(["--algorithm", flag].iter().map(|s| s.to_string()));
-            assert_eq!(selected_algorithm(&args, 1, 0).name(), name);
+            let a = args(&["--algorithm", flag]);
+            assert_eq!(selected_algorithm(&a, 1, 0).unwrap().name(), name);
         }
-        assert_eq!(selected_algorithm(&Args::default(), 1, 0).name(), "PMEvo");
+        assert_eq!(selected_algorithm(&[], 1, 0).unwrap().name(), "PMEvo");
+        let err = selected_algorithm(&args(&["--algorithm", "gpt"]), 1, 0).err().unwrap();
+        assert_eq!(err.code, 2);
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod allocation;
 pub mod backend;
 pub mod binfmt;
 pub mod checkpoint;
+pub mod flags;
 mod bottleneck_impl;
 mod eval;
 mod experiment;

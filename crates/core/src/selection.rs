@@ -51,6 +51,25 @@ pub enum SelectionPolicy {
 }
 
 impl SelectionPolicy {
+    /// The policy names [`Self::from_name`] accepts, for error messages.
+    pub const NAMES: &'static str = "one-shot, disagreement or uniform";
+
+    /// The policy called `name`; `top_k` applies to the round-based
+    /// policies. This is the one name table for policies: the JSON
+    /// decoder and every front end's `--selection` go through it.
+    ///
+    /// # Errors
+    ///
+    /// `unknown selection policy "greedy"` for any other name.
+    pub fn from_name(name: &str, top_k: usize) -> Result<Self, String> {
+        match name {
+            "one-shot" => Ok(SelectionPolicy::OneShot),
+            "disagreement" => Ok(SelectionPolicy::Disagreement { top_k }),
+            "uniform" => Ok(SelectionPolicy::Uniform { top_k }),
+            other => Err(format!("unknown selection policy {other:?}")),
+        }
+    }
+
     /// Whether the policy measures in rounds instead of up front.
     pub fn is_adaptive(&self) -> bool {
         !matches!(self, SelectionPolicy::OneShot)
@@ -104,18 +123,15 @@ impl SelectionPolicy {
             Some(Value::Str(s)) => s.as_str(),
             _ => return Err("selection policy needs a string field `policy`".into()),
         };
-        let top_k = || {
-            v.get("top_k")
-                .and_then(Value::as_u64)
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| format!("selection policy `{kind}` needs an integer `top_k`"))
-        };
-        match kind {
-            "one-shot" => Ok(SelectionPolicy::OneShot),
-            "disagreement" => Ok(SelectionPolicy::Disagreement { top_k: top_k()? }),
-            "uniform" => Ok(SelectionPolicy::Uniform { top_k: top_k()? }),
-            other => Err(format!("unknown selection policy {other:?}")),
+        let top_k = v
+            .get("top_k")
+            .and_then(Value::as_u64)
+            .and_then(|n| usize::try_from(n).ok());
+        let policy = Self::from_name(kind, top_k.unwrap_or(0))?;
+        if policy.is_adaptive() && top_k.is_none() {
+            return Err(format!("selection policy `{kind}` needs an integer `top_k`"));
         }
+        Ok(policy)
     }
 }
 
@@ -403,6 +419,25 @@ mod tests {
             Value::Str("disagreement".into())
         )]))
         .is_err());
+    }
+
+    #[test]
+    fn policy_names_resolve_through_one_table() {
+        assert_eq!(SelectionPolicy::from_name("one-shot", 8), Ok(SelectionPolicy::OneShot));
+        assert_eq!(
+            SelectionPolicy::from_name("disagreement", 8),
+            Ok(SelectionPolicy::Disagreement { top_k: 8 })
+        );
+        assert_eq!(
+            SelectionPolicy::from_name("uniform", 3),
+            Ok(SelectionPolicy::Uniform { top_k: 3 })
+        );
+        // The same message the JSON decoder reports for a bad `policy`.
+        let err = "unknown selection policy \"greedy\"".to_string();
+        assert_eq!(SelectionPolicy::from_name("greedy", 8), Err(err.clone()));
+        let v = Value::Obj(vec![("policy".into(), Value::Str("greedy".into()))]);
+        assert_eq!(SelectionPolicy::from_json_value(&v), Err(err));
+        assert!(SelectionPolicy::from_name("Uniform", 8).is_err(), "names are case-sensitive");
     }
 
     #[test]

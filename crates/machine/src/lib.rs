@@ -39,5 +39,5 @@ pub use sim::{simulate_kernel, SimResult};
 /// The three paper-analogous machine configurations (paper Table 1),
 /// plus the TINY toy machine for smoke tests and CI sweeps.
 pub mod platforms {
-    pub use crate::platform::{a72, by_name, skl, tiny, zen};
+    pub use crate::platform::{a72, by_name, skl, tiny, zen, NAMES};
 }

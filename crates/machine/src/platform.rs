@@ -610,6 +610,9 @@ pub fn tiny() -> Platform {
     )
 }
 
+/// The platform names [`by_name`] accepts, for error messages.
+pub const NAMES: &str = "SKL, ZEN, A72 or TINY";
+
 /// Looks up a built-in platform by its (case-insensitive) name —
 /// `"SKL"`, `"ZEN"`, `"A72"` or `"TINY"` — the shared resolver behind
 /// every CLI `--platform` flag and the serving layer's

@@ -45,7 +45,6 @@
 
 #![deny(missing_docs)]
 
-pub mod flags;
 mod server;
 mod specs;
 

@@ -2,7 +2,7 @@
 //! the scenario of paper §5.3, as a library-API walkthrough.
 //!
 //! Run with:
-//! `cargo run --release --example compare_predictors -- [SKL|ZEN|A72] [n]`
+//! `cargo run --release --example compare_predictors -- [SKL|ZEN|A72|TINY] [n]`
 //!
 //! Defaults: ZEN, 400 experiments of size 5. The ground-truth oracle
 //! ("uops.info") and the deliberately coarse llvm-mca-style model bracket
@@ -25,14 +25,9 @@ fn main() {
         .map(|s| s.parse().expect("n must be a number"))
         .unwrap_or(400);
 
-    let platform = match which.to_uppercase().as_str() {
-        "SKL" => platforms::skl(),
-        "ZEN" => platforms::zen(),
-        "A72" => platforms::a72(),
-        other => {
-            eprintln!("unknown platform {other}; expected SKL, ZEN or A72");
-            std::process::exit(1);
-        }
+    let Some(platform) = platforms::by_name(&which) else {
+        eprintln!("error: unknown platform {which}; expected {}", platforms::NAMES);
+        std::process::exit(2);
     };
 
     // Benchmark set: random multisets of size 5 (paper §5.3).

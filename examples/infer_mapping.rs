@@ -3,7 +3,7 @@
 //! statistics.
 //!
 //! Run with:
-//! `cargo run --release --example infer_mapping -- [SKL|ZEN|A72] [population]`
+//! `cargo run --release --example infer_mapping -- [SKL|ZEN|A72|TINY] [population]`
 //!
 //! Defaults: A72 (the platform the paper highlights as out of reach for
 //! counter-based tools), population 300.
@@ -19,14 +19,9 @@ fn main() {
         .map(|s| s.parse().expect("population must be a number"))
         .unwrap_or(300);
 
-    let platform = match which.to_uppercase().as_str() {
-        "SKL" => platforms::skl(),
-        "ZEN" => platforms::zen(),
-        "A72" => platforms::a72(),
-        other => {
-            eprintln!("unknown platform {other}; expected SKL, ZEN or A72");
-            std::process::exit(1);
-        }
+    let Some(platform) = platforms::by_name(&which) else {
+        eprintln!("error: unknown platform {which}; expected {}", platforms::NAMES);
+        std::process::exit(2);
     };
 
     println!(

@@ -40,123 +40,72 @@
 //! Exit code 2 on usage errors, 1 on malformed flag values and runtime
 //! failures; never a panic on the serving paths.
 
-use pmevo::baselines::{CountingAlgorithm, LpAlgorithm, RandomAlgorithm};
+use pmevo::core::flags::{
+    self, byte_flag, flag, flag_all, num_flag, positive_flag, switch, Exit,
+};
 use pmevo::core::json::{self, Value};
 use pmevo::core::{
     render, suggest, Experiment, InstId, MappingArtifact, SequenceParseError, ServeRecord,
     ThreeLevelMapping,
 };
 use pmevo::machine::{platforms, MeasureConfig, Measurer, Platform};
-use pmevo::core::{MeasurementBudget, SelectionPolicy};
 use pmevo::predict::{MappingId, MappingStore, Predictor, PredictorConfig};
-use pmevo::serve::flags::{byte_flag, flag, flag_all, num_flag, positive_flag};
 use pmevo::serve::{load_spec_artifact, route_line, store_from_specs};
 use pmevo::{Session, SessionCheckpoint};
 use std::io::{BufRead, Read, Write};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: pmevo-cli <platforms|infer|show|predict|convert|client> [flags]\n\
-         \n\
-         pmevo-cli platforms\n\
-         pmevo-cli infer   --platform SKL [--population 300] [--generations N]\n\
-                           [--algorithm pmevo] [--seed N] [--out mapping.json]\n\
-                           [--format json|bin] [--report report.json]\n\
-                           [--islands N] [--selection one-shot|disagreement|uniform]\n\
-                           [--top-k N] [--budget MEASUREMENTS]\n\
-                           [--checkpoint FILE [--checkpoint-every GENS] [--resume]\n\
-                            [--halt-after-checkpoints N]]\n\
-                           (--resume continues from FILE bit-identically; flags\n\
-                            not repeated are adopted from the artifact)\n\
-         pmevo-cli show    --platform SKL --mapping mapping.json [--limit 20]\n\
-         pmevo-cli convert --in artifact --out artifact [--platform SKL]\n\
-                           (JSON <-> compact binary; JSON to binary needs\n\
-                            --platform for the instruction-name table)\n\
-         pmevo-cli predict --mapping SKL=skl.json [--mapping ZEN=zen.json ...]\n\
-                           [--jobs N] [--cache N] [--batch N] [--store-budget BYTES]\n\
-                           (streams stdin sequences like \"SKL: add_r64_r64; imul_r64_r64 x2\"\n\
-                            to JSON throughputs on stdout)\n\
-         pmevo-cli predict --platform SKL --mapping mapping.json \\\n\
-                           --experiment \"add_r64_r64:2,imul_r64_r64:1\"\n\
-         pmevo-cli predict --corpus blocks.txt --uarch skl [--isa x86]\n\
-                           --mapping SKL=skl.json [--jobs N] [--cache N]\n\
-                           (replays a basic-block corpus: one JSON line per\n\
-                            block, then one accounting line, on stdout)\n\
-         pmevo-cli client  --connect HOST:PORT | --unix PATH\n\
-                           (pipes stdin to a pmevo-serve daemon, responses to stdout)"
-    );
-    ExitCode::from(2)
+const USAGE: &str = "usage: pmevo-cli <platforms|infer|show|predict|convert|client> [flags]\n\
+     \n\
+     pmevo-cli platforms\n\
+     pmevo-cli infer   --platform SKL [--population 300] [--generations N]\n\
+                       [--algorithm pmevo] [--seed N] [--out mapping.json]\n\
+                       [--format json|bin] [--report report.json]\n\
+                       [--islands N] [--selection one-shot|disagreement|uniform]\n\
+                       [--top-k N] [--budget MEASUREMENTS]\n\
+                       [--checkpoint FILE [--checkpoint-every GENS] [--resume]\n\
+                        [--halt-after-checkpoints N]]\n\
+                       (--resume continues from FILE bit-identically; flags\n\
+                        not repeated are adopted from the artifact)\n\
+     pmevo-cli show    --platform SKL --mapping mapping.json [--limit 20]\n\
+     pmevo-cli convert --in artifact --out artifact [--platform SKL]\n\
+                       (JSON <-> compact binary; JSON to binary needs\n\
+                        --platform for the instruction-name table)\n\
+     pmevo-cli predict --mapping SKL=skl.json [--mapping ZEN=zen.json ...]\n\
+                       [--jobs N] [--cache N] [--batch N] [--store-budget BYTES]\n\
+                       (streams stdin sequences like \"SKL: add_r64_r64; imul_r64_r64 x2\"\n\
+                        to JSON throughputs on stdout)\n\
+     pmevo-cli predict --platform SKL --mapping mapping.json \\\n\
+                       --experiment \"add_r64_r64:2,imul_r64_r64:1\"\n\
+     pmevo-cli predict --corpus blocks.txt --uarch skl [--isa x86]\n\
+                       --mapping SKL=skl.json [--jobs N] [--cache N]\n\
+                       (replays a basic-block corpus: one JSON line per\n\
+                        block, then one accounting line, on stdout)\n\
+     pmevo-cli client  --connect HOST:PORT | --unix PATH\n\
+                       (pipes stdin to a pmevo-serve daemon, responses to stdout)";
+
+/// The platform named by the required `--platform` flag.
+fn platform(args: &[String]) -> Result<Platform, Exit> {
+    flags::name_flag(args, "--platform", platforms::NAMES, platforms::by_name)?
+        .ok_or_else(|| Exit::usage_error("missing --platform"))
 }
 
-/// Resolves the numeric flag `name` (default `default`); on a malformed
-/// value, prints the error and the usage text and fails with exit 1.
-fn parsed_flag<T>(args: &[String], name: &str, default: T) -> Result<T, ExitCode>
-where
-    T: std::str::FromStr + std::fmt::Display,
-{
-    num_flag(args, name, default).map_err(|message| {
-        eprintln!("{message}");
-        let _ = usage();
-        ExitCode::FAILURE
-    })
-}
-
-/// [`parsed_flag`] for counts that must be at least 1.
-fn positive_parsed_flag(args: &[String], name: &str, default: usize) -> Result<usize, ExitCode> {
-    positive_flag(args, name, default).map_err(|message| {
-        eprintln!("{message}");
-        let _ = usage();
-        ExitCode::FAILURE
-    })
-}
-
-fn platform_from(args: &[String]) -> Result<Platform, ExitCode> {
-    match flag(args, "--platform").as_deref().map(str::to_uppercase) {
-        Some(ref s) if s == "SKL" => Ok(platforms::skl()),
-        Some(ref s) if s == "ZEN" => Ok(platforms::zen()),
-        Some(ref s) if s == "A72" => Ok(platforms::a72()),
-        Some(ref s) if s == "TINY" => Ok(platforms::tiny()),
-        Some(other) => {
-            eprintln!("unknown platform {other}; expected SKL, ZEN, A72 or TINY");
-            Err(ExitCode::from(2))
-        }
-        None => {
-            eprintln!("missing --platform");
-            Err(ExitCode::from(2))
-        }
-    }
-}
-
-fn load_mapping(args: &[String], platform: &Platform) -> Result<ThreeLevelMapping, ExitCode> {
-    let Some(path) = flag(args, "--mapping") else {
-        eprintln!("missing --mapping <file.json>");
-        return Err(ExitCode::from(2));
-    };
-    let data = match std::fs::read_to_string(&path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return Err(ExitCode::from(1));
-        }
-    };
-    let mapping = match ThreeLevelMapping::from_json(&data) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("cannot parse {path}: {e}");
-            return Err(ExitCode::from(1));
-        }
-    };
+fn load_mapping(args: &[String], platform: &Platform) -> Result<ThreeLevelMapping, Exit> {
+    let path = flag(args, "--mapping")?
+        .ok_or_else(|| Exit::usage_error("missing --mapping <file.json>"))?;
+    let data = std::fs::read_to_string(&path)
+        .map_err(|e| Exit::failure(format!("cannot read {path}: {e}")))?;
+    let mapping = ThreeLevelMapping::from_json(&data)
+        .map_err(|e| Exit::failure(format!("cannot parse {path}: {e}")))?;
     if mapping.num_insts() != platform.isa().len() || mapping.num_ports() != platform.num_ports() {
-        eprintln!(
+        return Err(Exit::failure(format!(
             "mapping shape ({} insts, {} ports) does not match platform {} ({} insts, {} ports)",
             mapping.num_insts(),
             mapping.num_ports(),
             platform.name(),
             platform.isa().len(),
             platform.num_ports()
-        );
-        return Err(ExitCode::from(1));
+        )));
     }
     Ok(mapping)
 }
@@ -193,7 +142,7 @@ fn parse_experiment(platform: &Platform, spec: &str) -> Result<Experiment, Strin
     Ok(Experiment::from_counts(&counts))
 }
 
-fn cmd_platforms() -> ExitCode {
+fn cmd_platforms() -> Result<(), Exit> {
     for p in [
         platforms::skl(),
         platforms::zen(),
@@ -211,118 +160,78 @@ fn cmd_platforms() -> ExitCode {
             p.window_size()
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_infer(args: &[String]) -> ExitCode {
-    let platform = match platform_from(args) {
-        Ok(p) => p,
-        Err(c) => return c,
-    };
-    let mut population = match positive_parsed_flag(args, "--population", 300) {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let mut seed = match parsed_flag(args, "--seed", 0x90ADu64) {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let generations = match parsed_flag(args, "--generations", 0u32) {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let mut islands = match positive_parsed_flag(args, "--islands", 1) {
-        Ok(v) => v as u32,
-        Err(c) => return c,
-    };
-    let top_k = match positive_parsed_flag(args, "--top-k", 16) {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let mut selection = match flag(args, "--selection").as_deref() {
-        None | Some("one-shot") => SelectionPolicy::OneShot,
-        Some("disagreement") => SelectionPolicy::Disagreement { top_k },
-        Some("uniform") => SelectionPolicy::Uniform { top_k },
-        Some(other) => {
-            eprintln!("unknown --selection {other}; expected one-shot, disagreement or uniform");
-            return ExitCode::from(2);
-        }
-    };
-    let mut budget = match parsed_flag(args, "--budget", 0u64) {
-        Ok(0) => MeasurementBudget::UNLIMITED,
-        Ok(n) => MeasurementBudget::measurements(n),
-        Err(c) => return c,
-    };
-    let checkpoint_path = flag(args, "--checkpoint");
-    let checkpoint_every = match parsed_flag(args, "--checkpoint-every", 8u32) {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let halt_after = match parsed_flag(args, "--halt-after-checkpoints", 0u32) {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let resume = args.iter().any(|a| a == "--resume");
+fn cmd_infer(args: &[String]) -> Result<(), Exit> {
+    let platform = platform(args)?;
+    let mut population = positive_flag(args, "--population", 300)?;
+    let mut seed = num_flag(args, "--seed", 0x90ADu64)?;
+    let generations = num_flag(args, "--generations", 0u32)?;
+    let mut islands = positive_flag(args, "--islands", 1)? as u32;
+    let mut selection = flags::selection_flag(args)?;
+    let mut budget = flags::budget_flag(args)?;
+    let checkpoint_path = flag(args, "--checkpoint")?;
+    let checkpoint_every = num_flag(args, "--checkpoint-every", 8u32)?;
+    let halt_after = num_flag(args, "--halt-after-checkpoints", 0u32)?;
+    let format = flags::name_flag(args, "--format", "json or bin", |f| {
+        ["json", "bin"].into_iter().find(|known| *known == f)
+    })?
+    .unwrap_or("json");
+    let out = flag(args, "--out")?
+        .unwrap_or_else(|| format!("pmevo_{}.{format}", platform.name().to_lowercase()));
+    let report_path = flag(args, "--report")?;
+    let algorithm = flag(args, "--algorithm")?.unwrap_or_else(|| "pmevo".into());
     // A resumed run adopts the artifact's header for every flag the user
     // did not repeat, so `--checkpoint FILE --resume` alone continues a
     // run bit-identically; explicitly conflicting flags are rejected by
-    // the session builder.
-    let snapshot = if resume {
-        let Some(path) = checkpoint_path.as_deref() else {
-            eprintln!("--resume needs --checkpoint FILE (the artifact to continue from)");
-            return ExitCode::from(2);
-        };
-        match SessionCheckpoint::load(std::path::Path::new(path)) {
-            Ok(snapshot) => {
-                let explicit = |name: &str| flag(args, name).is_some();
-                if !explicit("--seed") {
-                    seed = snapshot.seed;
-                }
-                if !explicit("--population") {
-                    population = snapshot.population_size as usize;
-                }
-                if !explicit("--islands") {
-                    islands = snapshot.islands;
-                }
-                if !explicit("--selection") {
-                    selection = snapshot.selection;
-                }
-                if !explicit("--budget") {
-                    budget = snapshot.budget;
-                }
-                Some(snapshot)
-            }
-            Err(e) => {
-                eprintln!("error: cannot resume: {e}");
-                return ExitCode::FAILURE;
-            }
+    // the session builder. Every header flag was parsed above, so one
+    // that is present was given with a value.
+    let snapshot = if switch(args, "--resume") {
+        let path = checkpoint_path.as_deref().ok_or_else(|| {
+            Exit::usage_error("--resume needs --checkpoint FILE (the artifact to continue from)")
+        })?;
+        let snapshot = SessionCheckpoint::load(std::path::Path::new(path))
+            .map_err(|e| Exit::failure(format!("error: cannot resume: {e}")))?;
+        if !switch(args, "--seed") {
+            seed = snapshot.seed;
         }
+        if !switch(args, "--population") {
+            population = snapshot.population_size as usize;
+        }
+        if !switch(args, "--islands") {
+            islands = snapshot.islands;
+        }
+        if !switch(args, "--selection") {
+            selection = snapshot.selection;
+        }
+        if !switch(args, "--budget") {
+            budget = snapshot.budget;
+        }
+        Some(snapshot)
     } else {
         None
     };
-    let format = flag(args, "--format").unwrap_or_else(|| "json".into());
-    if format != "json" && format != "bin" {
-        eprintln!("unknown --format {format}; expected json or bin");
-        return ExitCode::from(2);
-    }
-    let out = flag(args, "--out")
-        .unwrap_or_else(|| format!("pmevo_{}.{format}", platform.name().to_lowercase()));
     // The binary artifact embeds the instruction-name table; capture it
     // before the platform moves into the session builder.
     let inst_names: Vec<String> =
         platform.isa().forms().iter().map(|f| f.name.clone()).collect();
 
-    let algorithm = flag(args, "--algorithm").unwrap_or_else(|| "pmevo".into());
     if algorithm != "pmevo" && (checkpoint_path.is_some() || islands > 1) {
-        eprintln!("--islands and --checkpoint are only supported by the pmevo algorithm");
-        return ExitCode::from(2);
+        return Err(Exit::usage_error(
+            "--islands and --checkpoint are only supported by the pmevo algorithm",
+        ));
     }
+    let baseline = match algorithm.as_str() {
+        "pmevo" => None,
+        name => Some(pmevo::baselines::by_name(name, seed).ok_or_else(|| {
+            flags::unknown_name("--algorithm", name, "pmevo, counting, random or lp")
+        })?),
+    };
     // Fail before measuring anything, not at the first checkpoint write.
     if let Some(path) = checkpoint_path.as_deref() {
-        if let Err(e) = check_checkpoint_writable(path) {
-            eprintln!("error: cannot write checkpoint {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        check_checkpoint_writable(path)
+            .map_err(|e| Exit::failure(format!("error: cannot write checkpoint {path}: {e}")))?;
     }
     eprintln!(
         "inferring port mapping for {} with {algorithm} (population {population}, seed {seed}) ...",
@@ -347,29 +256,14 @@ fn cmd_infer(args: &[String]) -> ExitCode {
     if halt_after > 0 {
         builder = builder.halt_after_checkpoints(halt_after);
     }
-    let builder = match algorithm.as_str() {
-        "pmevo" => builder,
-        "counting" => builder.algorithm(CountingAlgorithm),
-        "random" => builder.algorithm(RandomAlgorithm::new(seed)),
-        "lp" => builder.algorithm(LpAlgorithm::default()),
-        other => {
-            eprintln!("unknown algorithm {other}; expected pmevo, counting, random or lp");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match builder.build() {
-        Ok(session) => session.run(),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+    if let Some(baseline) = baseline {
+        builder = builder.algorithm(baseline);
+    }
+    let report = builder.build().map_err(|e| Exit::usage_error(e.to_string()))?.run();
     eprintln!("{report}");
-    if let Some(report_path) = flag(args, "--report") {
-        if let Err(e) = std::fs::write(&report_path, report.to_json_pretty()) {
-            eprintln!("cannot write {report_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(report_path) = report_path {
+        std::fs::write(&report_path, report.to_json_pretty())
+            .map_err(|e| Exit::failure(format!("cannot write {report_path}: {e}")))?;
         eprintln!("session report written to {report_path}");
     }
     let artifact_bytes = if format == "bin" {
@@ -377,12 +271,10 @@ fn cmd_infer(args: &[String]) -> ExitCode {
     } else {
         report.mapping.to_json_pretty().into_bytes()
     };
-    if let Err(e) = std::fs::write(&out, artifact_bytes) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&out, artifact_bytes)
+        .map_err(|e| Exit::failure(format!("cannot write {out}: {e}")))?;
     println!("{out}");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Checks that checkpoints can be saved to `path`. A save writes a
@@ -403,71 +295,38 @@ fn check_checkpoint_writable(path: &str) -> std::io::Result<()> {
 /// binary format embeds the instruction-name table, so converting *to*
 /// it needs `--platform`; converting *from* it drops the table (the
 /// JSON artifact format has none — it is the mapping alone).
-fn cmd_convert(args: &[String]) -> ExitCode {
-    let (Some(input), Some(out)) = (flag(args, "--in"), flag(args, "--out")) else {
-        eprintln!("convert needs --in <artifact> and --out <artifact>");
-        return ExitCode::from(2);
+fn cmd_convert(args: &[String]) -> Result<(), Exit> {
+    let (Some(input), Some(out)) = (flag(args, "--in")?, flag(args, "--out")?) else {
+        return Err(Exit::usage_error("convert needs --in <artifact> and --out <artifact>"));
     };
-    let bytes = match std::fs::read(&input) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot read {input}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let bytes =
+        std::fs::read(&input).map_err(|e| Exit::failure(format!("cannot read {input}: {e}")))?;
     let written = if MappingArtifact::sniff(&bytes) {
-        match MappingArtifact::from_bytes(&bytes) {
-            Ok(artifact) => std::fs::write(&out, artifact.mapping().to_json_pretty()),
-            Err(e) => {
-                eprintln!("cannot decode {input}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let artifact = MappingArtifact::from_bytes(&bytes)
+            .map_err(|e| Exit::failure(format!("cannot decode {input}: {e}")))?;
+        std::fs::write(&out, artifact.mapping().to_json_pretty())
     } else {
         // JSON in: the name table must come from a built-in platform.
-        if flag(args, "--platform").is_none() {
-            eprintln!(
-                "converting a JSON artifact to binary needs --platform \
-                 (the binary format embeds the platform's instruction names)"
-            );
-            return ExitCode::from(2);
-        }
-        let platform = match platform_from(args) {
-            Ok(p) => p,
-            Err(c) => return c,
-        };
-        match load_spec_artifact(platform.name(), &input) {
-            Ok((_, loaded)) => {
-                let artifact = MappingArtifact::new(loaded.inst_names, loaded.mapping);
-                std::fs::write(&out, artifact.to_bytes())
-            }
-            Err(message) => {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let platform = flags::name_flag(args, "--platform", platforms::NAMES, platforms::by_name)?
+            .ok_or_else(|| {
+                Exit::usage_error(
+                    "converting a JSON artifact to binary needs --platform \
+                     (the binary format embeds the platform's instruction names)",
+                )
+            })?;
+        let (_, loaded) = load_spec_artifact(platform.name(), &input)
+            .map_err(|message| Exit::failure(format!("error: {message}")))?;
+        std::fs::write(&out, MappingArtifact::new(loaded.inst_names, loaded.mapping).to_bytes())
     };
-    if let Err(e) = written {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    written.map_err(|e| Exit::failure(format!("cannot write {out}: {e}")))?;
     println!("{out}");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_show(args: &[String]) -> ExitCode {
-    let platform = match platform_from(args) {
-        Ok(p) => p,
-        Err(c) => return c,
-    };
-    let limit = match parsed_flag(args, "--limit", usize::MAX) {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let mapping = match load_mapping(args, &platform) {
-        Ok(m) => m,
-        Err(c) => return c,
-    };
+fn cmd_show(args: &[String]) -> Result<(), Exit> {
+    let platform = platform(args)?;
+    let limit = num_flag(args, "--limit", usize::MAX)?;
+    let mapping = load_mapping(args, &platform)?;
     let s = render::summary(&mapping, |i| platform.isa().form(i).name.clone());
     for (name, decomp) in s.lines().iter().take(limit) {
         println!("{name:28} {decomp}");
@@ -481,7 +340,7 @@ fn cmd_show(args: &[String]) -> ExitCode {
         print!("  p{p}={mass:.1}");
     }
     println!();
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Loads the `--mapping` flags of serving mode into a store. Accepts
@@ -491,56 +350,39 @@ fn cmd_show(args: &[String]) -> ExitCode {
 /// normalized to `NAME=path` so the daemon and the offline pipe share
 /// one loader ([`store_from_specs`]). `--store-budget` caps the bytes
 /// of mapping payloads held resident; the rest reload lazily.
-fn build_store(args: &[String]) -> Result<MappingStore, ExitCode> {
-    let budget = byte_flag(args, "--store-budget").map_err(|message| {
-        eprintln!("{message}");
-        let _ = usage();
-        ExitCode::FAILURE
-    })?;
-    let mut specs = flag_all(args, "--mapping");
+fn build_store(args: &[String]) -> Result<MappingStore, Exit> {
+    let budget = byte_flag(args, "--store-budget")?;
+    let mut specs = flag_all(args, "--mapping")?;
     if specs.iter().any(|s| !s.contains('=')) {
-        let platform = platform_from(args)?;
+        let platform = platform(args)?;
         for spec in &mut specs {
             if !spec.contains('=') {
                 *spec = format!("{}={spec}", platform.name());
             }
         }
     }
-    store_from_specs(&specs, budget).map_err(|message| {
-        eprintln!("error: {message}");
-        usage()
-    })
+    store_from_specs(&specs, budget)
+        .map_err(|message| Exit::usage_error(format!("error: {message}")).with_usage())
 }
 
 /// Serving mode: stream sequences from stdin through a [`Predictor`],
 /// one JSON result line per input line, in input order.
-fn cmd_predict_stream(args: &[String]) -> ExitCode {
+fn cmd_predict_stream(args: &[String]) -> Result<(), Exit> {
     // Flags are validated before any file is touched, so a typo'd
     // `--jobs abc` is reported as itself, not masked by a store error.
-    let jobs = match positive_parsed_flag(args, "--jobs", 1) {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let cache = match parsed_flag(args, "--cache", 1usize << 16) {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
+    let jobs = positive_flag(args, "--jobs", 1)?;
+    let cache = num_flag(args, "--cache", 1usize << 16)?;
     // `--batch 0` would silently turn the flush threshold into
     // "always", so zero is rejected rather than clamped.
-    let batch = match positive_parsed_flag(args, "--batch", 1024) {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let store = match build_store(args) {
-        Ok(s) => s,
-        Err(c) => return c,
-    };
+    let batch = positive_flag(args, "--batch", 1024)?;
+    let store = build_store(args)?;
     // Unprefixed lines go to the latest version of the first-loaded
     // name, matching how prefixed lines resolve. `build_store` already
     // refused an empty store, so the first id exists.
     let Some(first_id) = store.ids().next() else {
-        eprintln!("error: at least one --mapping NAME=file.json is required");
-        return ExitCode::from(2);
+        return Err(Exit::usage_error(
+            "error: at least one --mapping NAME=file.json is required",
+        ));
     };
     let default_name = store.get(first_id).name().to_owned();
     let predictor = Predictor::new(store, PredictorConfig { workers: jobs, cache_capacity: cache });
@@ -605,13 +447,8 @@ fn cmd_predict_stream(args: &[String]) -> ExitCode {
 
     for (idx, line) in stdin.lock().lines().enumerate() {
         let line_no = idx as u64 + 1;
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("stdin read error at line {line_no}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let line = line
+            .map_err(|e| Exit::failure(format!("stdin read error at line {line_no}: {e}")))?;
         // An optional `PLATFORM:` prefix routes the line to a specific
         // stored mapping; the prefix is only consumed when it names one
         // (case-insensitively) — shared with the daemon via
@@ -647,7 +484,7 @@ fn cmd_predict_stream(args: &[String]) -> ExitCode {
         100.0 * stats.hit_rate(),
         errors
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Corpus replay: parse a BHive-style file of disassembled basic
@@ -656,55 +493,37 @@ fn cmd_predict_stream(args: &[String]) -> ExitCode {
 /// JSON record per block plus a final accounting line. Everything on
 /// stdout is a pure function of (corpus, uarch, mapping) — worker count
 /// never changes a byte.
-fn cmd_predict_corpus(args: &[String], corpus_path: &str) -> ExitCode {
-    if let Some(isa) = flag(args, "--isa") {
+fn cmd_predict_corpus(args: &[String], corpus_path: &str) -> Result<(), Exit> {
+    if let Some(isa) = flag(args, "--isa")? {
         if !isa.eq_ignore_ascii_case("x86") {
-            eprintln!("unsupported --isa {isa}; corpus replay reads x86-64 disassembly");
-            return ExitCode::from(2);
+            return Err(Exit::usage_error(format!(
+                "unsupported --isa {isa}; corpus replay reads x86-64 disassembly"
+            )));
         }
     }
-    let Some(uarch) = flag(args, "--uarch") else {
-        eprintln!("missing --uarch (skl, zen or a72) for corpus replay");
-        return ExitCode::from(2);
-    };
-    let Some(table) = pmevo::x86::by_name(&uarch) else {
-        eprintln!("unknown uarch {uarch}; expected skl, zen or a72");
-        return ExitCode::from(2);
-    };
-    let jobs = match positive_parsed_flag(args, "--jobs", 1) {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let cache = match parsed_flag(args, "--cache", 1usize << 16) {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let store = match build_store(args) {
-        Ok(s) => s,
-        Err(c) => return c,
-    };
-    let Some(id) = store.latest(table.platform()) else {
-        eprintln!(
+    let uarch = flag(args, "--uarch")?
+        .ok_or_else(|| Exit::usage_error("missing --uarch (skl, zen or a72) for corpus replay"))?;
+    let table = pmevo::x86::by_name(&uarch).ok_or_else(|| {
+        Exit::usage_error(format!("unknown uarch {uarch}; expected skl, zen or a72"))
+    })?;
+    let jobs = positive_flag(args, "--jobs", 1)?;
+    let cache = num_flag(args, "--cache", 1usize << 16)?;
+    let store = build_store(args)?;
+    let id = store.latest(table.platform()).ok_or_else(|| {
+        Exit::usage_error(format!(
             "corpus replay on {} needs --mapping {}=file.json",
             table.name(),
             table.platform()
-        );
-        return ExitCode::from(2);
-    };
+        ))
+    })?;
     let label = store.get(id).label();
     // The platform with the same name as the table provides the form
     // universe the table's keys resolve into.
-    let Some(platform) = platforms::by_name(table.platform()) else {
-        eprintln!("no built-in platform named {}", table.platform());
-        return ExitCode::FAILURE;
-    };
-    let corpus = match std::fs::read_to_string(corpus_path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot read {corpus_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let platform = platforms::by_name(table.platform()).ok_or_else(|| {
+        Exit::failure(format!("no built-in platform named {}", table.platform()))
+    })?;
+    let corpus = std::fs::read_to_string(corpus_path)
+        .map_err(|e| Exit::failure(format!("cannot read {corpus_path}: {e}")))?;
     let predictor = Predictor::new(store, PredictorConfig { workers: jobs, cache_capacity: cache });
     let uarch_name = table.name();
     let resolver = pmevo::x86::Resolver::new(table, platform.isa());
@@ -747,33 +566,21 @@ fn cmd_predict_corpus(args: &[String], corpus_path: &str) -> ExitCode {
     for (reason, n) in &acc.by_reason {
         eprintln!("  unmapped blocks: {n} {reason}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_predict(args: &[String]) -> ExitCode {
-    if let Some(path) = flag(args, "--corpus") {
+fn cmd_predict(args: &[String]) -> Result<(), Exit> {
+    if let Some(path) = flag(args, "--corpus")? {
         // --corpus switches predict into BHive-style replay mode.
         return cmd_predict_corpus(args, &path);
     }
-    let Some(spec) = flag(args, "--experiment") else {
+    let Some(spec) = flag(args, "--experiment")? else {
         // No --experiment: the streaming serving mode.
         return cmd_predict_stream(args);
     };
-    let platform = match platform_from(args) {
-        Ok(p) => p,
-        Err(c) => return c,
-    };
-    let mapping = match load_mapping(args, &platform) {
-        Ok(m) => m,
-        Err(c) => return c,
-    };
-    let experiment = match parse_experiment(&platform, &spec) {
-        Ok(e) => e,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
+    let platform = platform(args)?;
+    let mapping = load_mapping(args, &platform)?;
+    let experiment = parse_experiment(&platform, &spec).map_err(Exit::usage_error)?;
     let predicted = mapping.throughput(&experiment);
     let measured = Measurer::new(&platform, MeasureConfig::default()).measure(&experiment);
     println!("experiment: {experiment}");
@@ -783,7 +590,7 @@ fn cmd_predict(args: &[String]) -> ExitCode {
         "rel. error: {:.1}%",
         100.0 * (predicted - measured).abs() / measured
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Pipes stdin to a running `pmevo-serve` daemon and the daemon's
@@ -794,7 +601,7 @@ fn cmd_predict(args: &[String]) -> ExitCode {
 fn run_client<S>(
     stream: S,
     shutdown_write: impl FnOnce(&S) -> std::io::Result<()> + Send,
-) -> ExitCode
+) -> Result<(), Exit>
 where
     S: Read + Write + Send + Sync + 'static,
     for<'a> &'a S: Read + Write,
@@ -810,14 +617,10 @@ where
         let received = std::io::copy(&mut BufReadAdapter(&stream), &mut stdout);
         let sent = sender.join().expect("sender thread");
         match (sent, received) {
-            (Ok(()), Ok(_)) => ExitCode::SUCCESS,
-            (Err(e), _) => {
-                eprintln!("error: sending to daemon failed: {e}");
-                ExitCode::FAILURE
-            }
+            (Ok(()), Ok(_)) => Ok(()),
+            (Err(e), _) => Err(Exit::failure(format!("error: sending to daemon failed: {e}"))),
             (_, Err(e)) => {
-                eprintln!("error: reading daemon responses failed: {e}");
-                ExitCode::FAILURE
+                Err(Exit::failure(format!("error: reading daemon responses failed: {e}")))
             }
         }
     })
@@ -836,48 +639,36 @@ where
     }
 }
 
-fn cmd_client(args: &[String]) -> ExitCode {
-    match (flag(args, "--connect"), flag(args, "--unix")) {
-        (Some(addr), None) => match std::net::TcpStream::connect(&addr) {
-            Ok(stream) => {
-                run_client(stream, |s| s.shutdown(std::net::Shutdown::Write))
-            }
-            Err(e) => {
-                eprintln!("error: cannot connect to {addr}: {e}");
-                ExitCode::FAILURE
-            }
-        },
+fn cmd_client(args: &[String]) -> Result<(), Exit> {
+    match (flag(args, "--connect")?, flag(args, "--unix")?) {
+        (Some(addr), None) => {
+            let stream = std::net::TcpStream::connect(&addr)
+                .map_err(|e| Exit::failure(format!("error: cannot connect to {addr}: {e}")))?;
+            run_client(stream, |s| s.shutdown(std::net::Shutdown::Write))
+        }
         #[cfg(unix)]
-        (None, Some(path)) => match std::os::unix::net::UnixStream::connect(&path) {
-            Ok(stream) => {
-                run_client(stream, |s| s.shutdown(std::net::Shutdown::Write))
-            }
-            Err(e) => {
-                eprintln!("error: cannot connect to {path}: {e}");
-                ExitCode::FAILURE
-            }
-        },
+        (None, Some(path)) => {
+            let stream = std::os::unix::net::UnixStream::connect(&path)
+                .map_err(|e| Exit::failure(format!("error: cannot connect to {path}: {e}")))?;
+            run_client(stream, |s| s.shutdown(std::net::Shutdown::Write))
+        }
         #[cfg(not(unix))]
-        (None, Some(_)) => {
-            eprintln!("error: --unix is only supported on Unix platforms");
-            ExitCode::FAILURE
-        }
-        _ => {
-            eprintln!("error: client needs exactly one of --connect HOST:PORT or --unix PATH");
-            usage()
-        }
+        (None, Some(_)) => Err(Exit::failure("error: --unix is only supported on Unix platforms")),
+        _ => Err(Exit::usage_error(
+            "error: client needs exactly one of --connect HOST:PORT or --unix PATH",
+        )
+        .with_usage()),
     }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    flags::run(USAGE, |args| match args.first().map(String::as_str) {
         Some("platforms") => cmd_platforms(),
         Some("infer") => cmd_infer(&args[1..]),
         Some("show") => cmd_show(&args[1..]),
         Some("convert") => cmd_convert(&args[1..]),
         Some("predict") => cmd_predict(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
-        _ => usage(),
-    }
+        _ => Err(Exit::usage_error("").with_usage()),
+    })
 }

@@ -147,6 +147,22 @@ fn infer_rejects_unknown_artifact_formats() {
 }
 
 #[test]
+fn value_flags_without_a_value_are_rejected() {
+    // `--out` must not swallow the next flag as its value (that wrote a
+    // mapping file named `--format`).
+    let dir = TempDir::new("cli_errors");
+    let out = cli()
+        .args(["infer", "--platform", "TINY", "--out", "--format", "bin"])
+        .current_dir(dir.path())
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn pmevo-cli");
+    assert_graceful(&out, "error: --out expects a value");
+    assert_eq!(out.status.code(), Some(1), "a flag without its value exits 1");
+    assert!(!dir.join("--format").exists(), "no file named after the next flag");
+}
+
+#[test]
 fn convert_errors_are_reported_cleanly() {
     let dir = TempDir::new("cli_errors");
     // Missing --in/--out is a usage error.
