@@ -10,7 +10,8 @@
 //! performs no per-query heap allocation inside the solver. Results are
 //! memoized in a per-mapping [`LruCache`], so the skewed query streams
 //! of real clients (compilers re-asking about hot basic blocks) short-
-//! circuit to a hash lookup.
+//! circuit to a hash lookup — taken before the mapping's payload is
+//! resolved, so cache hits never reload an evicted payload.
 //!
 //! Like every parallel layer of this workspace ([`Service::run_many`],
 //! the fitness engine), the pool is **thread-count independent**: a
@@ -368,8 +369,9 @@ impl Predictor {
     /// # Panics
     ///
     /// Panics if `id` is not from this store, a sequence references an
-    /// instruction outside the mapping's universe, or an evicted
-    /// payload's lazy reload fails (serving front ends route through
+    /// instruction outside the mapping's universe, or the batch has a
+    /// cache miss and the evicted payload's lazy reload fails (serving
+    /// front ends route through
     /// [`try_predict_batch`](Self::try_predict_batch) to report that
     /// per query instead).
     pub fn predict_batch(&self, id: MappingId, sequences: &[Experiment]) -> Vec<f64> {
@@ -382,10 +384,22 @@ impl Predictor {
     /// where a corrupt artifact on disk must degrade one mapping's
     /// queries, not the process.
     ///
+    /// The batch is looked up in the result cache *before* the mapping's
+    /// payload is touched: a batch whose queries all hit is answered
+    /// without resolving the payload at all, so under a store budget an
+    /// evicted mapping is reloaded only when at least one query misses.
+    /// A cached value is a pure function of an immutable mapping (a new
+    /// version gets a new [`MappingId`] and a cold cache), so answering
+    /// from it is exactly what a solve would return.
+    ///
     /// # Errors
     ///
-    /// The [`StoreError`] of the failed payload (re)load; no counters
-    /// are advanced and the cache is untouched then.
+    /// The [`StoreError`] of the failed payload (re)load, which happens
+    /// only when the batch has a miss. No counters are advanced and no
+    /// result is cached then, though the probe may have refreshed the
+    /// LRU recency of the batch's hits. A batch whose queries all hit
+    /// answers `Ok` even when its evicted artifact has since become
+    /// unreadable.
     ///
     /// # Panics
     ///
@@ -400,10 +414,6 @@ impl Predictor {
         // store pointer but cannot touch this entry.
         let store = self.snapshot();
         let stored = store.get_arc(id);
-        // Resolve the payload once, up front: the whole batch — cache
-        // writes included — solves against this one `Arc`, so a
-        // concurrent eviction cannot change the bits mid-batch.
-        let mapping = stored.mapping()?;
         let num_insts = stored.num_insts();
         for e in sequences {
             if let Some((inst, _)) = e.iter().last() {
@@ -414,14 +424,6 @@ impl Predictor {
                 );
             }
         }
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.queries.fetch_add(sequences.len() as u64, Ordering::Relaxed);
-        *self
-            .per_mapping
-            .lock()
-            .expect("counter lock poisoned")
-            .entry(id.0)
-            .or_insert(0) += sequences.len() as u64;
 
         let mut results = vec![0.0f64; sequences.len()];
         let mut miss_idx: Vec<usize> = Vec::new();
@@ -430,25 +432,60 @@ impl Predictor {
             // never needs to be touched on this path.
             miss_idx.extend(0..sequences.len());
         } else {
-            {
+            let mut caches = self.caches.lock().expect("cache poisoned");
+            match caches.get_mut(&id.0) {
+                Some(cache) => {
+                    for (i, e) in sequences.iter().enumerate() {
+                        match cache.get(e) {
+                            Some(&t) => results[i] = t,
+                            None => miss_idx.push(i),
+                        }
+                    }
+                }
+                None => miss_idx.extend(0..sequences.len()),
+            }
+        }
+        let hits = sequences.len() - miss_idx.len();
+
+        if !miss_idx.is_empty() {
+            // Every miss of the batch solves against this one `Arc`, so
+            // a concurrent eviction cannot change the bits mid-batch.
+            let mapping = stored.mapping()?;
+            self.solve_misses(&mapping, sequences, &miss_idx, &mut results);
+            if self.cache_capacity > 0 {
                 let mut caches = self.caches.lock().expect("cache poisoned");
                 let cache = caches
                     .entry(id.0)
                     .or_insert_with(|| LruCache::new(self.cache_capacity));
-                for (i, e) in sequences.iter().enumerate() {
-                    match cache.get(e) {
-                        Some(&t) => results[i] = t,
-                        None => miss_idx.push(i),
-                    }
+                for &i in &miss_idx {
+                    cache.insert(sequences[i].clone(), results[i]);
                 }
             }
-            self.cache_hits
-                .fetch_add((sequences.len() - miss_idx.len()) as u64, Ordering::Relaxed);
-        }
-        if miss_idx.is_empty() {
-            return Ok(results);
         }
 
+        // The batch has succeeded: only now advance the counters.
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.queries.fetch_add(sequences.len() as u64, Ordering::Relaxed);
+        self.cache_hits.fetch_add(hits as u64, Ordering::Relaxed);
+        *self
+            .per_mapping
+            .lock()
+            .expect("counter lock poisoned")
+            .entry(id.0)
+            .or_insert(0) += sequences.len() as u64;
+        Ok(results)
+    }
+
+    /// Solves `sequences[miss_idx]` under `mapping` into the matching
+    /// slots of `results`: compiled once, then solved either on the
+    /// calling thread or fanned out over the pool.
+    fn solve_misses(
+        &self,
+        mapping: &Arc<ThreeLevelMapping>,
+        sequences: &[Experiment],
+        miss_idx: &[usize],
+        results: &mut [f64],
+    ) {
         let solve_start = std::time::Instant::now();
         // Compile the misses once: dense interning + flat rows. The
         // measured field is a placeholder (the compiler demands positive
@@ -476,7 +513,7 @@ impl Predictor {
         };
         if let Some(mut guard) = inline_guard {
             let g = &mut *guard;
-            g.solver.load_mapping(&compiled, &mapping);
+            g.solver.load_mapping(&compiled, mapping);
             g.indices.clear();
             g.indices.extend(0..n as u32);
             g.solver.predict_batch(&compiled, &g.indices, &mut g.out);
@@ -485,7 +522,6 @@ impl Predictor {
             }
         } else {
             let compiled = Arc::new(compiled);
-            let mapping = Arc::clone(&mapping);
             let chunks = self.workers.len().min(n).max(1);
             let chunk_size = n.div_ceil(chunks);
             let (tx, rx) = channel();
@@ -501,7 +537,7 @@ impl Predictor {
                 let end = ((c + 1) * chunk_size).min(n);
                 jobs.send(Job {
                     compiled: Arc::clone(&compiled),
-                    mapping: Arc::clone(&mapping),
+                    mapping: Arc::clone(mapping),
                     start,
                     end,
                     out: tx.clone(),
@@ -521,17 +557,6 @@ impl Predictor {
         }
         self.miss_solve_ns
             .fetch_add(solve_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-
-        if self.cache_capacity > 0 {
-            let mut caches = self.caches.lock().expect("cache poisoned");
-            let cache = caches
-                .entry(id.0)
-                .or_insert_with(|| LruCache::new(self.cache_capacity));
-            for &i in &miss_idx {
-                cache.insert(sequences[i].clone(), results[i]);
-            }
-        }
-        Ok(results)
     }
 
     /// Predicts a single sequence — [`predict_batch`](Self::predict_batch)
@@ -557,10 +582,13 @@ impl Predictor {
     }
 
     /// [`predict_routed`](Self::predict_routed) that surfaces
-    /// lazy-reload failures per query: when one mapping's payload cannot
-    /// be (re)loaded, every query routed to it gets that `Err` while the
-    /// other mappings' queries answer normally — one rotten artifact on
-    /// disk must not take down the window it was coalesced into.
+    /// lazy-reload failures per query: when one mapping's group has a
+    /// cache miss and its payload cannot be (re)loaded, every query of
+    /// that group gets that `Err` while the other mappings' queries
+    /// answer normally — one rotten artifact on disk must not take down
+    /// the window it was coalesced into. A group whose queries all hit
+    /// answers from the cache (see
+    /// [`try_predict_batch`](Self::try_predict_batch)).
     pub fn try_predict_routed(
         &self,
         queries: &[(MappingId, Experiment)],

@@ -22,7 +22,8 @@
 //! artifact file ([`MappingStore::insert_from_file`]) may be evicted
 //! when the estimated resident bytes exceed the budget, least recently
 //! used first. An evicted payload lazily reloads from its artifact on
-//! the next query. Because artifacts are immutable while registered and
+//! the next query that misses the [`Predictor`](crate::Predictor)'s
+//! result cache (hits never touch the payload). Because artifacts are immutable while registered and
 //! both codecs re-normalize deterministically, a reload yields the same
 //! bits the entry was registered with — predictions are byte-identical
 //! under any budget (the *lazy-reload determinism contract*, enforced by

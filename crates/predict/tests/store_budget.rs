@@ -180,3 +180,35 @@ fn thousand_mapping_store_under_budget_answers_bit_identically() {
         "not everything can be resident under a quarter budget"
     );
 }
+
+/// A cache hit is answered before the mapping payload is resolved, so
+/// re-asking an answered batch reloads nothing, even though the budget
+/// has evicted most of the payloads it touched since.
+#[test]
+fn cache_hits_do_not_reload_evicted_payloads() {
+    let dir = TempDir::new("store_budget_hits");
+    let paths = write_fleet(&dir);
+    let store = build_store(&paths, None);
+    let total_payload: u64 = store.ids().map(|id| store.get(id).payload_bytes()).sum();
+    let queries = workload(&store, 600);
+
+    let store = build_store(&paths, Some(total_payload / 4));
+    let predictor = Predictor::new(store, PredictorConfig { workers: 2, cache_capacity: 1024 });
+    let ask = || -> Vec<u64> {
+        predictor
+            .try_predict_routed(&queries)
+            .into_iter()
+            .map(|r| r.expect("fleet artifacts stay readable").to_bits())
+            .collect()
+    };
+    let first = ask();
+    let before = predictor.snapshot().residency_stats();
+    assert!(before.evictions > 0, "the batch must have evicted payloads: {before:?}");
+    let hits_before = predictor.stats().cache_hits;
+
+    let second = ask();
+    let after = predictor.snapshot().residency_stats();
+    assert_eq!(second, first, "hits answer bit-identically to the solves they cached");
+    assert_eq!(after.reloads, before.reloads, "a cache hit must not reload its payload");
+    assert_eq!(predictor.stats().cache_hits - hits_before, queries.len() as u64);
+}

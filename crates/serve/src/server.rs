@@ -1055,6 +1055,73 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_lazy_reload_degrades_only_the_missing_lines() {
+        use crate::specs::store_from_specs;
+        let dir = TempDir::new("serve_lazy_reload");
+        let tiny = platforms::tiny();
+        let names: Vec<String> = tiny.isa().forms().iter().map(|f| f.name.clone()).collect();
+        let bytes = MappingArtifact::new(names, tiny.ground_truth().clone()).to_bytes();
+        let a_path = dir.write("a.bin", &bytes);
+        let b_path = dir.write("b.bin", &bytes);
+        // A 1-byte budget keeps one payload resident at a time.
+        let store = store_from_specs(
+            &[format!("A={}", a_path.display()), format!("B={}", b_path.display())],
+            Some(1),
+        )
+        .expect("valid artifacts");
+        // Every window below is closed by a control verb, never by the
+        // delay, so a long delay pins which lines share a window.
+        let config = ServeConfig { max_delay: Duration::from_secs(5), ..quick_config() };
+        let server = Server::new(store, config).expect("non-empty store");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind test listener");
+        let addr = listener.local_addr().unwrap();
+        server.listen_tcp(listener);
+
+        // Cache `A: add`; answering B afterwards evicts A's payload.
+        let warm = roundtrip(addr, &format!("A: {ADD}\nB: {ADD}\n!mappings\n"));
+        assert_eq!(warm.len(), 3, "{warm:?}");
+        assert!(
+            warm[2].contains("{\"mapping\":\"A@1\",\"queries\":1,\"resident\":false"),
+            "A's payload was evicted: {}",
+            warm[2]
+        );
+        std::fs::remove_file(&a_path).expect("delete A's artifact");
+
+        let responses = roundtrip(
+            addr,
+            &format!("A: {ADD}\n!mappings\nA: {MUL}\nB: {MUL}\n!stats\n"),
+        );
+        assert_eq!(responses.len(), 5, "{responses:?}");
+        assert!(
+            responses[0].starts_with("{\"line\":1,\"mapping\":\"A@1\",\"cycles\":"),
+            "a cached line answers without its artifact: {}",
+            responses[0]
+        );
+        assert!(
+            responses[2].starts_with("{\"line\":3,\"error\":\"prediction unavailable:")
+                && responses[2].contains(&*a_path.to_string_lossy()),
+            "a miss on the broken mapping names the artifact path: {}",
+            responses[2]
+        );
+        assert!(
+            responses[3].starts_with("{\"line\":4,\"mapping\":\"B@1\",\"cycles\":"),
+            "the other mapping in the same window answers: {}",
+            responses[3]
+        );
+        // A: two answered lines (the warm-up and the cached one), the
+        // failed line not counted; B: two answered lines.
+        assert!(
+            responses[4].contains("\"queries\":4,\"cache_hits\":1,")
+                && responses[4].contains("{\"mapping\":\"A@1\",\"queries\":2,")
+                && responses[4].contains("{\"mapping\":\"B@1\",\"queries\":2,"),
+            "the failed group advances no query counter: {}",
+            responses[4]
+        );
+        server.stop();
+        server.join();
+    }
+
+    #[test]
     fn shutdown_verb_stops_the_daemon_for_everyone() {
         let (server, addr) = start_tcp(tiny_store());
         let responses = roundtrip(addr, &format!("{ADD}\n!shutdown\n"));

@@ -20,10 +20,16 @@ use rand::{Rng, SeedableRng};
 fn main() {
     let mut args = std::env::args().skip(1);
     let which = args.next().unwrap_or_else(|| "ZEN".into());
-    let n: usize = args
-        .next()
-        .map(|s| s.parse().expect("n must be a number"))
-        .unwrap_or(400);
+    let n = match args.next() {
+        None => 400,
+        Some(s) => match s.parse::<usize>() {
+            Ok(v) if v > 0 => v,
+            _ => {
+                eprintln!("error: n expects a positive number, got {s:?}");
+                std::process::exit(1);
+            }
+        },
+    };
 
     let Some(platform) = platforms::by_name(&which) else {
         eprintln!("error: unknown platform {which}; expected {}", platforms::NAMES);

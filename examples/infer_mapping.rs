@@ -14,10 +14,16 @@ use pmevo::Session;
 fn main() {
     let mut args = std::env::args().skip(1);
     let which = args.next().unwrap_or_else(|| "A72".into());
-    let population: usize = args
-        .next()
-        .map(|s| s.parse().expect("population must be a number"))
-        .unwrap_or(300);
+    let population = match args.next() {
+        None => 300,
+        Some(s) => match s.parse::<usize>() {
+            Ok(v) if v > 0 => v,
+            _ => {
+                eprintln!("error: population expects a positive number, got {s:?}");
+                std::process::exit(1);
+            }
+        },
+    };
 
     let Some(platform) = platforms::by_name(&which) else {
         eprintln!("error: unknown platform {which}; expected {}", platforms::NAMES);

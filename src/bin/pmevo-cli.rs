@@ -365,6 +365,18 @@ fn build_store(args: &[String]) -> Result<MappingStore, Exit> {
         .map_err(|message| Exit::usage_error(format!("error: {message}")).with_usage())
 }
 
+/// Settles a run's stdout writes under the exit contract: a closed pipe
+/// (`… | head -1`) means the reader has all it wants, so the run stops
+/// quietly with `Ok(false)` and exits 0; any other write failure is a
+/// runtime error.
+fn stdout_open(written: std::io::Result<()>) -> Result<bool, Exit> {
+    match written {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(Exit::failure(format!("error: cannot write to stdout: {e}"))),
+    }
+}
+
 /// Serving mode: stream sequences from stdin through a [`Predictor`],
 /// one JSON result line per input line, in input order.
 fn cmd_predict_stream(args: &[String]) -> Result<(), Exit> {
@@ -406,7 +418,7 @@ fn cmd_predict_stream(args: &[String]) -> Result<(), Exit> {
     }
     let mut pending: Vec<(u64, Entry)> = Vec::with_capacity(batch);
     let mut errors = 0u64;
-    let flush = |pending: &mut Vec<(u64, Entry)>, out: &mut dyn Write| {
+    let flush = |pending: &mut Vec<(u64, Entry)>, out: &mut dyn Write| -> std::io::Result<()> {
         // The predictor groups the window per mapping; results come back
         // in input order and are re-interleaved with the failed lines.
         let (slots, queries): (Vec<usize>, Vec<(MappingId, Experiment)>) = pending
@@ -441,8 +453,9 @@ fn cmd_predict_stream(args: &[String]) -> Result<(), Exit> {
                 }
                 (Entry::Failed(message), _) => ServeRecord::Error { line, message },
             };
-            writeln!(out, "{}", record.to_json_line()).expect("write stdout");
+            writeln!(out, "{}", record.to_json_line())?;
         }
+        Ok(())
     };
 
     for (idx, line) in stdin.lock().lines().enumerate() {
@@ -469,12 +482,13 @@ fn cmd_predict_stream(args: &[String]) -> Result<(), Exit> {
                 pending.push((line_no, Entry::Failed(err.to_string())));
             }
         }
-        if pending.len() >= batch {
-            flush(&mut pending, &mut out);
+        if pending.len() >= batch && !stdout_open(flush(&mut pending, &mut out))? {
+            return Ok(());
         }
     }
-    flush(&mut pending, &mut out);
-    out.flush().expect("flush stdout");
+    if !stdout_open(flush(&mut pending, &mut out).and_then(|()| out.flush()))? {
+        return Ok(());
+    }
     let stats = predictor.stats();
     eprintln!(
         "predicted {} sequences in {} batches ({} workers, {:.1}% cache hits, {} errors)",
@@ -531,28 +545,33 @@ fn cmd_predict_corpus(args: &[String], corpus_path: &str) -> Result<(), Exit> {
 
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
-    for (block, outcome) in r.outcomes.iter().enumerate() {
-        let record = match &outcome.result {
-            pmevo::x86::BlockResult::Cycles(cycles) => Value::Obj(vec![
-                ("block".into(), Value::UInt(block as u64)),
-                ("line".into(), Value::UInt(u64::from(outcome.start_line))),
-                ("insts".into(), Value::UInt(u64::from(outcome.insts))),
-                ("mapping".into(), Value::Str(label.clone())),
-                ("cycles".into(), Value::Num(*cycles)),
-            ]),
-            pmevo::x86::BlockResult::Unmapped { line, column, reason, detail } => Value::Obj(vec![
-                ("block".into(), Value::UInt(block as u64)),
-                ("line".into(), Value::UInt(u64::from(*line))),
-                ("column".into(), Value::UInt(u64::from(*column))),
-                ("reason".into(), Value::Str((*reason).to_string())),
-                ("error".into(), Value::Str(detail.clone())),
-            ]),
-        };
-        writeln!(out, "{}", json::write_compact(&record)).expect("write stdout");
+    let mut write_records = || -> std::io::Result<()> {
+        for (block, outcome) in r.outcomes.iter().enumerate() {
+            let record = match &outcome.result {
+                pmevo::x86::BlockResult::Cycles(cycles) => Value::Obj(vec![
+                    ("block".into(), Value::UInt(block as u64)),
+                    ("line".into(), Value::UInt(u64::from(outcome.start_line))),
+                    ("insts".into(), Value::UInt(u64::from(outcome.insts))),
+                    ("mapping".into(), Value::Str(label.clone())),
+                    ("cycles".into(), Value::Num(*cycles)),
+                ]),
+                pmevo::x86::BlockResult::Unmapped { line, column, reason, detail } => Value::Obj(vec![
+                    ("block".into(), Value::UInt(block as u64)),
+                    ("line".into(), Value::UInt(u64::from(*line))),
+                    ("column".into(), Value::UInt(u64::from(*column))),
+                    ("reason".into(), Value::Str((*reason).to_string())),
+                    ("error".into(), Value::Str(detail.clone())),
+                ]),
+            };
+            writeln!(out, "{}", json::write_compact(&record))?;
+        }
+        writeln!(out, "{}", pmevo::x86::accounting_json(&r.accounting))?;
+        out.flush()
+    };
+    if !stdout_open(write_records())? {
+        return Ok(());
     }
     let acc = &r.accounting;
-    writeln!(out, "{}", pmevo::x86::accounting_json(acc)).expect("write stdout");
-    out.flush().expect("flush stdout");
     eprintln!(
         "replayed {} blocks ({} insts) on {} against {label}: \
          {} predicted, block coverage {:.1}%, inst coverage {:.1}%",

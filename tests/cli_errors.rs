@@ -137,6 +137,76 @@ fn malformed_store_budget_is_rejected_loudly() {
     }
 }
 
+/// A reader that closes its end of the pipe early (`… | head -1`) ends
+/// the run: `predict` stops quietly and exits 0 instead of panicking on
+/// the failed write, in the streaming mode and in corpus replay alike.
+#[test]
+fn a_closed_stdout_pipe_ends_the_stream_quietly() {
+    let dir = TempDir::new("cli_errors");
+    let tiny = dir.write("tiny.json", platforms::tiny().ground_truth().to_json_pretty());
+    let lines: String = (0..20_000)
+        .map(|i| format!("add_r64_r64_r64:{}; mul_r64_r64_r64\n", i % 7 + 1))
+        .collect();
+    let out = predict_into_a_closed_pipe(
+        &["predict", "--mapping", &format!("TINY={}", tiny.display())],
+        lines.into_bytes(),
+        "{\"line\":1,\"mapping\":\"TINY@1\"",
+    );
+    assert_quiet_end(&out);
+
+    let skl = dir.write("skl.json", platforms::skl().ground_truth().to_json_pretty());
+    let fixture = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/x86_corpus.txt"
+    ))
+    .expect("checked-in corpus fixture");
+    let corpus = dir.write("corpus.txt", fixture.repeat(5));
+    let out = predict_into_a_closed_pipe(
+        &[
+            "predict", "--corpus", corpus.to_str().unwrap(), "--uarch", "skl",
+            "--mapping", &format!("SKL={}", skl.display()),
+        ],
+        Vec::new(),
+        "{\"block\":0,",
+    );
+    assert_quiet_end(&out);
+}
+
+/// Runs `args` with `input` on stdin, reads the first output line
+/// (which must start with `first`) and then closes the pipe. The input
+/// makes far more output than a pipe buffers, so the process is still
+/// writing when the pipe closes.
+fn predict_into_a_closed_pipe(args: &[&str], input: Vec<u8>, first: &str) -> Output {
+    use std::io::{BufRead, BufReader};
+    let mut child = cli()
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pmevo-cli");
+    // The feeder ignores its own broken pipe once the process has
+    // stopped reading.
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let feeder = std::thread::spawn(move || {
+        let _ = stdin.write_all(&input);
+    });
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read the first record");
+    assert!(line.starts_with(first), "{line}");
+    drop(stdout);
+    let out = child.wait_with_output().expect("wait for pmevo-cli");
+    feeder.join().expect("feeder thread");
+    out
+}
+
+fn assert_quiet_end(out: &Output) {
+    let stderr = stderr_of(out);
+    assert!(!stderr.contains("panicked"), "a closed pipe must not panic:\n{stderr}");
+    assert_eq!(out.status.code(), Some(0), "a closed pipe ends the run cleanly:\n{stderr}");
+}
+
 #[test]
 fn infer_rejects_unknown_artifact_formats() {
     let out = run(&["infer", "--platform", "TINY", "--format", "msgpack"]);
